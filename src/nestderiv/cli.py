@@ -21,6 +21,7 @@ import numpy as np
 from .algebra import NestAlgebra
 from .chain import chain_family, implements_on_projection, normalize_chain, stabilized_b
 from .construct import (
+    ConstructionArtifacts,
     ConstructionChoices,
     artifacts_to_json,
     build_b,
@@ -38,6 +39,10 @@ EXIT_IO = 3
 
 class ConfigError(ValueError):
     pass
+
+
+class TableRejected(Exception):
+    """The input table fails the product rule (exit code 1)."""
 
 
 def _write_json(path: str, obj: dict):
@@ -75,6 +80,33 @@ def _load_table(path: str) -> DerivationTable:
         return DerivationTable.from_json(_read_json(path))
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad derivation table {path}: {exc}") from exc
+
+
+def _load_validated(args) -> DerivationTable:
+    """The --input table with --tol applied, raising TableRejected unless it validates."""
+    table = _load_table(args.input)
+    if args.tol is not None:
+        table.tol = args.tol
+    report = validate(table)
+    if not report.ok:
+        u, v = report.worst_pair
+        first = ", ".join(f"{u} x {v} ({r:.3e})" for u, v, r in report.failing_pairs[:3])
+        raise TableRejected(
+            f"max residual {report.max_residual:.3e} at {u} x {v} "
+            f"over {len(report.failing_pairs)} pairs (tol {report.tol:.3e}); first failing: {first}"
+        )
+    return table
+
+
+def _load_matrix(path: str, n: int, what: str) -> np.ndarray:
+    """An n x n matrix from a JSON file; malformed content is a config error."""
+    try:
+        m = matrix_from_json(_read_json(path))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what} matrix {path}: {exc}") from exc
+    if m.shape != (n, n):
+        raise ConfigError(f"{what} matrix {path} has shape {m.shape}, expected {(n, n)}")
+    return m
 
 
 def _choices_from_args(args, alg: NestAlgebra) -> ConstructionChoices:
@@ -116,18 +148,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    table = _load_table(args.input)
-    if args.tol is not None:
-        table.tol = args.tol
-    report = validate(table)
-    if not report.ok:
-        print(
-            f"table failed validation: max residual {report.max_residual:.3e} "
-            f"over {len(report.failing_pairs)} pairs (tol {report.tol:.3e})",
-            file=sys.stderr,
-        )
-        return EXIT_VALIDATION
-
+    table = _load_validated(args)
     try:
         choices = _choices_from_args(args, table.alg)
         artifacts = build_b(table, choices)
@@ -136,7 +157,7 @@ def cmd_construct(args) -> int:
 
     generator = None
     if args.generator:
-        generator = matrix_from_json(_read_json(args.generator))
+        generator = _load_matrix(args.generator, table.alg.n, "generator")
     verification = verify(table, artifacts, generator=generator, norm_seed=args.seed)
     out = verification.to_json()
     out["artifacts"] = artifacts_to_json(artifacts)
@@ -150,29 +171,18 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    table = _load_table(args.input)
-    if args.tol is not None:
-        table.tol = args.tol
-    report = validate(table)
-    if not report.ok:
-        print(f"table failed validation: max residual {report.max_residual:.3e}", file=sys.stderr)
-        return EXIT_VALIDATION
+    table = _load_validated(args)
     try:
         choices = _choices_from_args(args, table.alg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    b = matrix_from_json(_read_json(args.b))
-    if b.shape != (table.alg.n, table.alg.n):
-        raise ConfigError(f"operator b has shape {b.shape}, expected {(table.alg.n,) * 2}")
-
-    from .construct import ConstructionArtifacts
-
+    b = _load_matrix(args.b, table.alg.n, "operator b")
     zero = np.zeros_like(b)
     # supplied b stands in for every stage; components are not re-derived
     artifacts = ConstructionArtifacts(b1=b, c1=zero, b2=b, c2=zero, b=b, choices=choices)
     generator = None
     if args.generator:
-        generator = matrix_from_json(_read_json(args.generator))
+        generator = _load_matrix(args.generator, table.alg.n, "generator")
     verification = verify(table, artifacts, generator=generator, norm_seed=args.seed)
     _write_json(args.out, verification.to_json())
     print(f"wrote {args.out}")
@@ -183,13 +193,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    table = _load_table(args.input)
-    if args.tol is not None:
-        table.tol = args.tol
-    report = validate(table)
-    if not report.ok:
-        print(f"table failed validation: max residual {report.max_residual:.3e}", file=sys.stderr)
-        return EXIT_VALIDATION
+    table = _load_validated(args)
     try:
         family = chain_family(table)
     except ValueError as exc:
@@ -208,7 +212,7 @@ def cmd_chain(args) -> int:
     if len(normalized.members) == 1:
         out["note"] = "single interior projection: consistency pairs are vacuous"
     if args.generator:
-        c = matrix_from_json(_read_json(args.generator))
+        c = _load_matrix(args.generator, table.alg.n, "generator")
         lam, residual = scalar_identity_part((b_top - c)[: table.alg.chain[top_k - 1], :][:, : table.alg.chain[top_k - 1]])
         out["stabilized"]["gauge_on_p"] = {"lambda": [lam.real, lam.imag], "residual": residual}
     _write_json(args.out, out)
@@ -263,6 +267,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except TableRejected as exc:
+        print(f"table failed validation: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -271,13 +271,14 @@ def verify(
     units, of b over the complementary corner units and over all units, the
     triple-rule residual, the operator norms against the derivation-norm
     bounds, and (when the inner generator is known) the gauge scalar by which
-    b differs from it.
+    b differs from it.  The pass flags compare against tol, by default the
+    table tolerance scaled like validate's: table.tol * table.value_scale.
     """
     alg = table.alg
     choices = artifacts.choices
     d = choices.validate(alg)
     if tol is None:
-        tol = 1e-9 * table.value_scale
+        tol = table.tol * table.value_scale
 
     units = alg.basis_units()
     units_psp = [u for u in units if u.i < d and u.j < d]

@@ -76,3 +76,33 @@ def oracle_triple_rule(c, d, x0, h1, alpha, i):
         - q @ q_a.conj().T @ oracle_delta(c, h1, x0) @ q1.conj().T @ q_a
     )
     return np.linalg.norm(lhs - rhs, 2)
+
+
+def oracle_validate(table):
+    """Product-rule check one pair at a time, one SVD per ordered pair of units.
+
+    Returns (residuals, failing): residuals maps every (u, v) to the operator
+    norm of delta(u) v + u delta(v) - [j == k] delta(E_il), in loop order over
+    units in basis order; failing lists the (u, v, residual) triples above
+    table.tol * (1 + max operator norm of a table value), in the same order.
+    """
+    alg = table.alg
+    n = alg.n
+    units = alg.basis_units()
+    scale = 1.0 + max(np.linalg.norm(v, 2) for v in table.values.values())
+
+    def e(r, s):
+        m = np.zeros((n, n), dtype=complex)
+        m[r, s] = 1.0
+        return m
+
+    residuals = {}
+    for u in units:
+        du = table.values[u]
+        for v in units:
+            lhs = du @ e(v.i, v.j) + e(u.i, u.j) @ table.values[v]
+            if u.j == v.i:
+                lhs = lhs - table.values[(u.i, v.j)]
+            residuals[(tuple(u), tuple(v))] = float(np.linalg.norm(lhs, 2))
+    failing = [(u, v, r) for (u, v), r in residuals.items() if r > table.tol * scale]
+    return residuals, failing

@@ -5,7 +5,7 @@ import pytest
 
 from nestderiv.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
 from nestderiv.derivation import DerivationTable, validate
-from nestderiv.linalg import matrix_from_json
+from nestderiv.linalg import matrix_from_json, matrix_to_json
 
 
 def read(path):
@@ -60,7 +60,7 @@ def test_construct_end_to_end(tmp_path):
     assert set(report["artifacts"]) >= {"b1", "c1", "b2", "c2", "b", "k"}
 
 
-def test_construct_rejects_corrupted_table(tmp_path):
+def test_construct_rejects_corrupted_table(tmp_path, capsys):
     table_path = tmp_path / "table.json"
     main(["generate", "--n", "2", "--seed", "3", "--out", str(table_path)])
     obj = read(table_path)
@@ -69,6 +69,13 @@ def test_construct_rejects_corrupted_table(tmp_path):
         json.dump(obj, handle)
     code = main(["construct", "--input", str(table_path), "--out", str(tmp_path / "r.json")])
     assert code == EXIT_VALIDATION
+    report = validate(DerivationTable.from_json(obj))
+    message = capsys.readouterr().err
+    u, v = report.worst_pair
+    assert f"at {u} x {v}" in message
+    assert f"over {len(report.failing_pairs)} pairs" in message
+    for u, v, _ in report.failing_pairs[:3]:
+        assert f"{u} x {v} (" in message
 
 
 def test_reports_are_byte_identical(tmp_path):
@@ -167,3 +174,28 @@ def test_construct_choice_flags(tmp_path):
         ["construct", "--input", str(table_path), "--k", "2", "--xi0-index", "0", "--out", str(tmp_path / "r2.json")]
     )
     assert code == EXIT_CONFIG
+
+
+BAD_GENERATORS = {
+    "bad_json": "{not json",
+    "missing_keys": json.dumps({"rows": 3, "cols": 3}),
+    "wrong_shape": json.dumps({"rows": 2, "cols": 2, "data": [[1.0, 0.0]] * 4}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GENERATORS))
+@pytest.mark.parametrize("command", ["construct", "verify", "chain"])
+def test_bad_generator_is_config_error(tmp_path, capsys, command, case):
+    table_path = tmp_path / "table.json"
+    main(["generate", "--n", "3", "--seed", "2", "--out", str(table_path)])
+    generator = tmp_path / "generator.json"
+    generator.write_text(BAD_GENERATORS[case])
+    args = [command, "--input", str(table_path), "--generator", str(generator), "--out", str(tmp_path / "o.json")]
+    if command == "verify":
+        b_path = tmp_path / "b.json"
+        with open(b_path, "w") as handle:
+            json.dump(matrix_to_json(np.zeros((3, 3))), handle)
+        args += ["--b", str(b_path)]
+    capsys.readouterr()
+    assert main(args) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")

@@ -323,6 +323,17 @@ class TestVerify:
         # equivalence: both failure signals are of the same order
         assert 0.1 < report.rule_max / report.residual_full < 10
 
+    def test_pass_flags_use_the_table_tolerance(self, rng):
+        alg = NestAlgebra.triangular(4)
+        table = inner_from(alg, random_complex(rng, (4, 4)))
+        assert validate(table).ok
+        art = build_b(table, choices_for(alg, 2))
+        assert verify(table, art).thm13_ok
+        table.tol = 1e-20
+        report = verify(table, art)
+        assert report.tol == table.tol * table.value_scale
+        assert not report.thm13_ok
+
     def test_b2_implements_on_p_itself(self, rng):
         alg = NestAlgebra.triangular(4)
         table = inner_from(alg, random_complex(rng, (4, 4)))

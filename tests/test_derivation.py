@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nestderiv.algebra import NestAlgebra
 from nestderiv.derivation import (
@@ -14,10 +18,33 @@ from nestderiv.derivation import (
 from nestderiv.linalg import op_norm
 
 from conftest import random_complex, unit
+from oracles import oracle_validate
 
 
 def zero_table(alg):
     return DerivationTable(alg, {u: np.zeros((alg.n, alg.n), dtype=complex) for u in alg.basis_units()})
+
+
+@st.composite
+def tables(draw):
+    """Valid inner, one-entry-corrupted inner and fully random tables, n <= 7."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        alg = NestAlgebra.triangular(n)
+    else:
+        interior = draw(st.sets(st.integers(min_value=1, max_value=n - 1))) if n > 1 else set()
+        alg = NestAlgebra(n, (*sorted(interior), n))
+    units = alg.basis_units()
+    kind = draw(st.sampled_from(["valid", "corrupted", "random"]))
+    if kind == "random":
+        return DerivationTable(alg, {u: random_complex(rng, (n, n)) for u in units})
+    table = inner_from(alg, random_complex(rng, (n, n)))
+    if kind == "corrupted":
+        u = units[draw(st.integers(min_value=0, max_value=len(units) - 1))]
+        size = 10.0 ** draw(st.integers(min_value=-12, max_value=0))
+        table.values[u] = table.values[u] + size * random_complex(rng, (n, n))
+    return table
 
 
 class TestValidate:
@@ -39,6 +66,28 @@ class TestValidate:
         report = validate(table)
         assert not report.ok
         assert report.max_residual == pytest.approx(1e-3, rel=0.5)
+
+    @given(tables())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_pair_oracle(self, table):
+        report = validate(table)
+        residuals, failing = oracle_validate(table)
+        assert [(u, v) for u, v, _ in report.failing_pairs] == [(u, v) for u, v, _ in failing]
+        for (_, _, got), (_, _, want) in zip(report.failing_pairs, failing):
+            assert math.isclose(got, want, rel_tol=1e-12)
+        assert math.isclose(report.max_residual, max(residuals.values()), rel_tol=1e-12)
+        assert math.isclose(residuals[report.worst_pair], report.max_residual, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("chain", [None, (6, 12), (3, 7, 12), (1, 2, 11, 12), (2, 4, 6, 8, 10, 12)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_inner_tables_validate_to_rounding_at_n12(self, chain, seed):
+        # an exactly-zero residual must come out zero, not as the sqrt(eps)
+        # noise of a squared (Gram-matrix) norm
+        alg = NestAlgebra.triangular(12) if chain is None else NestAlgebra(12, chain)
+        table = inner_from(alg, random_complex(np.random.default_rng(seed), (12, 12)))
+        report = validate(table)
+        assert report.ok
+        assert report.max_residual <= 1e-14 * table.value_scale
 
     def test_missing_entry_rejected(self):
         alg = NestAlgebra.triangular(2)
