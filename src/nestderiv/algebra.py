@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DimensionError, _as_matrix, op_norm, rank_one, scalar_identity_part
+from .linalg import DimensionError, _as_matrix, basis_vector, rank_one, scalar_identity_part
 
 
 class MatrixUnit(NamedTuple):
@@ -52,6 +52,11 @@ class NestAlgebra:
     @property
     def num_levels(self) -> int:
         return len(self.chain)
+
+    @property
+    def interior_levels(self) -> list:
+        """1-based chain indices k of the interior projections (d_k < n): all but the last."""
+        return list(range(1, self.num_levels))
 
     def block_of(self, r: int) -> int:
         """1-based index of the least chain segment containing coordinate r."""
@@ -117,7 +122,9 @@ def _commutant_nullity(alg: NestAlgebra, tol: float):
     """Numerical commutant {x : [x, u] = 0 for all basis units u}.
 
     Returns (nullity, residual) where residual measures how far the extracted
-    null-space element is from a scalar multiple of I.
+    null-space element is from a scalar multiple of I.  The system has
+    (units * n^2) >= n^2 rows, so the thin SVD gives all n^2 singular values
+    and right singular vectors; the left ones are never formed.
     """
     n = alg.n
     rows = []
@@ -127,9 +134,9 @@ def _commutant_nullity(alg: NestAlgebra, tol: float):
         # vec(xe - ex) = (e^T kron I - I kron e) vec(x), column-major vec
         rows.append(np.kron(e.T, eye) - np.kron(eye, e))
     system = np.vstack(rows)
-    _, s, vh = np.linalg.svd(system)
+    _, s, vh = np.linalg.svd(system, full_matrices=False)
     scale = max(1.0, float(s[0]))
-    nullity = int(np.sum(s <= tol * scale)) + (n * n - len(s) if len(s) < n * n else 0)
+    nullity = int(np.sum(s <= tol * scale))
     x = vh[-1].reshape(n, n, order="F")
     _, residual = scalar_identity_part(x)
     return nullity, residual
@@ -148,7 +155,7 @@ def check_structure(alg: NestAlgebra, trials: int = 50, seed: int = 0, tol: floa
     rng = np.random.default_rng(seed)
     report = StructureReport(trials=trials)
     n = alg.n
-    interior = [k for k in range(1, alg.num_levels + 1) if alg.chain[k - 1] < n]
+    interior = alg.interior_levels
 
     for t in range(trials):
         if not interior:
@@ -161,11 +168,9 @@ def check_structure(alg: NestAlgebra, trials: int = 50, seed: int = 0, tol: floa
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         report.record(alg.contains(p @ m @ pperp), f"trial {t}: p m pperp not in algebra (k={k})")
 
-        xi0 = np.zeros(n, dtype=complex)
-        xi0[d + int(rng.integers(n - d))] = 1.0
+        xi0 = basis_vector(n, d + int(rng.integers(n - d)))
         for i in range(d):
-            eta = np.zeros(n, dtype=complex)
-            eta[i] = 1.0
+            eta = basis_vector(n, i)
             a = rank_one(xi0, eta)
             ok = alg.contains(a) and np.allclose(a @ xi0, eta, atol=1e-14)
             report.record(ok, f"trial {t}: orbit of xi0 misses basis vector {i} of p")

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import NestAlgebra
-from .construct import build_b1, ConstructionChoices
-from .derivation import DerivationTable
-from .linalg import matrix_to_json, op_norm, scalar_identity_part
+from .construct import ConstructionChoices, build_b1, default_choices
+from .derivation import DerivationTable, commutator_residuals
+from .linalg import matrix_to_json, scalar_identity_part
 
 
 @dataclass
@@ -44,36 +44,26 @@ class ChainFamily:
         return {"family": out}
 
 
-def _level_choices(alg: NestAlgebra, k: int) -> ConstructionChoices:
-    d = alg.chain[k - 1]
-    xi0 = np.zeros(alg.n, dtype=complex)
-    xi0[d] = 1.0
-    eta1 = np.zeros(alg.n, dtype=complex)
-    eta1[0] = 1.0
-    return ConstructionChoices(k=k, xi0=xi0, eta1=eta1)
-
-
-def _compressed_scalar(alg: NestAlgebra, delta_b: np.ndarray, d: int):
-    """Scalar part of an operator difference compressed to the first d coordinates."""
-    return scalar_identity_part(delta_b[:d, :d])
+def _pairwise_scalars(alg: NestAlgebra, members: list) -> dict:
+    """(k_a, k_b) -> scalar part of b_a - b_b compressed to range(p_a), for members in increasing k."""
+    lambdas = {}
+    for ia, ma in enumerate(members):
+        d = alg.chain[ma.k - 1]
+        for mb in members[ia + 1 :]:
+            lambdas[(ma.k, mb.k)] = scalar_identity_part((ma.b - mb.b)[:d, :d])
+    return lambdas
 
 
 def chain_family(table: DerivationTable) -> ChainFamily:
     """b_a for every interior chain level plus pairwise consistency scalars."""
     alg = table.alg
-    interior = [k for k in range(1, alg.num_levels + 1) if alg.chain[k - 1] < alg.n]
-    if not interior:
+    if not alg.interior_levels:
         raise ValueError("irreducible model: construction inapplicable (chain has no interior projection)")
     members = []
-    for k in interior:
-        choices = _level_choices(alg, k)
+    for k in alg.interior_levels:
+        choices = default_choices(alg, k)
         members.append(ChainMember(k=k, b=build_b1(table, choices), choices=choices))
-    lambdas = {}
-    for ia, ma in enumerate(members):
-        da = alg.chain[ma.k - 1]
-        for mb in members[ia + 1 :]:
-            lambdas[(ma.k, mb.k)] = _compressed_scalar(alg, ma.b - mb.b, da)
-    return ChainFamily(alg=alg, members=members, lambdas=lambdas)
+    return ChainFamily(alg=alg, members=members, lambdas=_pairwise_scalars(alg, members))
 
 
 def normalize_chain(family: ChainFamily) -> ChainFamily:
@@ -92,12 +82,7 @@ def normalize_chain(family: ChainFamily) -> ChainFamily:
         lam, _ = family.lambdas[(base.k, m.k)]
         p = alg.lattice_projection(m.k)
         members.append(ChainMember(k=m.k, b=m.b + lam * p, choices=m.choices))
-    lambdas = {}
-    for ia, ma in enumerate(members):
-        da = alg.chain[ma.k - 1]
-        for mb in members[ia + 1 :]:
-            lambdas[(ma.k, mb.k)] = _compressed_scalar(alg, ma.b - mb.b, da)
-    return ChainFamily(alg=alg, members=members, lambdas=lambdas)
+    return ChainFamily(alg=alg, members=members, lambdas=_pairwise_scalars(alg, members))
 
 
 def stabilized_b(family: ChainFamily) -> np.ndarray:
@@ -107,11 +92,4 @@ def stabilized_b(family: ChainFamily) -> np.ndarray:
 
 def implements_on_projection(table: DerivationTable, b: np.ndarray, k: int) -> float:
     """max over basis units u of op_norm((delta(u) - [b, u]) p) for p at level k."""
-    alg = table.alg
-    p = alg.lattice_projection(k)
-    worst = 0.0
-    for u in alg.basis_units():
-        e = alg.unit_matrix(u)
-        residual = op_norm((table.values[u] - (b @ e - e @ b)) @ p)
-        worst = max(worst, residual)
-    return worst
+    return float(commutator_residuals(table, b, table.alg.lattice_projection(k)).max())

@@ -28,8 +28,8 @@ from .construct import (
     default_choices,
     verify,
 )
-from .derivation import DerivationTable, inner_from, norm_estimate, validate
-from .linalg import matrix_from_json, matrix_to_json, op_norm, scalar_identity_part
+from .derivation import DerivationTable, check_tol, inner_from, validate
+from .linalg import basis_vector, matrix_from_json, matrix_to_json, op_norm, scalar_identity_part
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -75,6 +75,14 @@ def _parse_chain(args, n: int) -> tuple:
     return chain
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a float that passes the table tolerance check."""
+    try:
+        return check_tol(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _load_table(path: str) -> DerivationTable:
     try:
         return DerivationTable.from_json(_read_json(path))
@@ -116,13 +124,11 @@ def _choices_from_args(args, alg: NestAlgebra) -> ConstructionChoices:
     if args.xi0_index is not None:
         if not d <= args.xi0_index < alg.n:
             raise ConfigError(f"--xi0-index must lie in p-perp ({d}..{alg.n - 1})")
-        xi0 = np.zeros(alg.n, dtype=complex)
-        xi0[args.xi0_index] = 1.0
+        xi0 = basis_vector(alg.n, args.xi0_index)
     if args.eta1_index is not None:
         if not 0 <= args.eta1_index < d:
             raise ConfigError(f"--eta1-index must lie in p (0..{d - 1})")
-        eta1 = np.zeros(alg.n, dtype=complex)
-        eta1[args.eta1_index] = 1.0
+        eta1 = basis_vector(alg.n, args.eta1_index)
     return ConstructionChoices(k=base.k, xi0=xi0, eta1=eta1)
 
 
@@ -147,6 +153,20 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _verify_and_write(args, table: DerivationTable, artifacts: ConstructionArtifacts, extra: dict) -> int:
+    """Verify artifacts, write the report plus extra to --out, and gate the exit code on the theorems."""
+    generator = None
+    if args.generator:
+        generator = _load_matrix(args.generator, table.alg.n, "generator")
+    verification = verify(table, artifacts, generator=generator, norm_seed=args.seed)
+    _write_json(args.out, {**verification.to_json(), **extra})
+    print(f"wrote {args.out}")
+    ok = verification.thm11_ok and verification.thm12_ok
+    if args.gate_thm13:
+        ok = ok and verification.thm13_ok
+    return EXIT_OK if ok else EXIT_VALIDATION
+
+
 def cmd_construct(args) -> int:
     table = _load_validated(args)
     try:
@@ -154,20 +174,7 @@ def cmd_construct(args) -> int:
         artifacts = build_b(table, choices)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    generator = None
-    if args.generator:
-        generator = _load_matrix(args.generator, table.alg.n, "generator")
-    verification = verify(table, artifacts, generator=generator, norm_seed=args.seed)
-    out = verification.to_json()
-    out["artifacts"] = artifacts_to_json(artifacts)
-    _write_json(args.out, out)
-    print(f"wrote {args.out}")
-
-    ok = verification.thm11_ok and verification.thm12_ok
-    if args.gate_thm13:
-        ok = ok and verification.thm13_ok
-    return EXIT_OK if ok else EXIT_VALIDATION
+    return _verify_and_write(args, table, artifacts, {"artifacts": artifacts_to_json(artifacts)})
 
 
 def cmd_verify(args) -> int:
@@ -180,16 +187,7 @@ def cmd_verify(args) -> int:
     zero = np.zeros_like(b)
     # supplied b stands in for every stage; components are not re-derived
     artifacts = ConstructionArtifacts(b1=b, c1=zero, b2=b, c2=zero, b=b, choices=choices)
-    generator = None
-    if args.generator:
-        generator = _load_matrix(args.generator, table.alg.n, "generator")
-    verification = verify(table, artifacts, generator=generator, norm_seed=args.seed)
-    _write_json(args.out, verification.to_json())
-    print(f"wrote {args.out}")
-    ok = verification.thm11_ok and verification.thm12_ok
-    if args.gate_thm13:
-        ok = ok and verification.thm13_ok
-    return EXIT_OK if ok else EXIT_VALIDATION
+    return _verify_and_write(args, table, artifacts, {})
 
 
 def cmd_chain(args) -> int:
@@ -228,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--chain", help="comma-separated invariant dimensions, default 1..n")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--tol", type=float, default=1e-9)
+    gen.add_argument("--tol", type=_tolerance, default=1e-9)
     gen.add_argument("--zero", action="store_true", help="zero generator (zero derivation)")
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_generate)
@@ -239,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--xi0-index", type=int, default=None, dest="xi0_index")
         p.add_argument("--eta1-index", type=int, default=None, dest="eta1_index")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--tol", type=_tolerance, default=None)
         p.add_argument("--generator", help="generator matrix JSON, enables gauge and norm bounds")
         p.add_argument("--gate-thm13", action="store_true", dest="gate_thm13")
         p.add_argument("--out", required=True)
@@ -255,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cha = sub.add_parser("chain", help="chain family, normalization, stabilized operator")
     cha.add_argument("--input", required=True)
-    cha.add_argument("--tol", type=float, default=None)
+    cha.add_argument("--tol", type=_tolerance, default=None)
     cha.add_argument("--generator")
     cha.add_argument("--out", required=True)
     cha.set_defaults(func=cmd_chain)

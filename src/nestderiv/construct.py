@@ -13,11 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import NestAlgebra
-from .derivation import DerivationTable, NormEstimate, evaluate, norm_estimate
+from .derivation import DerivationTable, NormEstimate, commutator_residuals, evaluate, norm_estimate
 from .linalg import (
     _as_matrix,
     _as_vector,
     adjoint,
+    basis_vector,
     matrix_to_json,
     op_norm,
     rank_one,
@@ -34,7 +35,7 @@ class ConstructionChoices:
     eta1: np.ndarray
 
     def validate(self, alg: NestAlgebra):
-        if not 1 <= self.k <= alg.num_levels or alg.chain[self.k - 1] >= alg.n:
+        if self.k not in alg.interior_levels:
             raise ValueError(f"k={self.k} is not an interior chain index for {alg.chain}")
         d = alg.chain[self.k - 1]
         xi0 = _as_vector(self.xi0)
@@ -64,9 +65,8 @@ class ConstructionArtifacts:
 
 @dataclass
 class RuleResidual:
-    """Triple-product-rule residuals per (p-perp basis index, p basis index)."""
+    """Largest triple-product-rule residual over the (p-perp basis index, p basis index) pairs."""
 
-    residuals: dict
     max_residual: float
 
 
@@ -110,20 +110,15 @@ class VerificationReport:
 
 def default_choices(alg: NestAlgebra, k: int | None = None) -> ConstructionChoices:
     """Reproducible defaults: d_k nearest ceil(n/2), first basis vectors of p-perp and p."""
-    interior = [kk for kk in range(1, alg.num_levels + 1) if alg.chain[kk - 1] < alg.n]
+    interior = alg.interior_levels
     if not interior:
         raise ValueError("algebra has no interior invariant projection")
     if k is None:
         target = (alg.n + 1) // 2
         k = min(interior, key=lambda kk: (abs(alg.chain[kk - 1] - target), kk))
-    d = alg.chain[k - 1]
-    if d >= alg.n:
-        raise ValueError(f"k={k} is not interior")
-    xi0 = np.zeros(alg.n, dtype=complex)
-    xi0[d] = 1.0
-    eta1 = np.zeros(alg.n, dtype=complex)
-    eta1[0] = 1.0
-    return ConstructionChoices(k=k, xi0=xi0, eta1=eta1)
+    elif k not in interior:
+        raise ValueError(f"k={k} is not an interior chain index for {alg.chain}")
+    return ConstructionChoices(k=k, xi0=basis_vector(alg.n, alg.chain[k - 1]), eta1=basis_vector(alg.n, 0))
 
 
 def build_b1(table: DerivationTable, choices: ConstructionChoices) -> np.ndarray:
@@ -139,9 +134,7 @@ def build_b1(table: DerivationTable, choices: ConstructionChoices) -> np.ndarray
     p0 = rank_one(xi0, xi0)
     b1 = np.zeros((alg.n, alg.n), dtype=complex)
     for i in range(d):
-        eta = np.zeros(alg.n, dtype=complex)
-        eta[i] = 1.0
-        a = rank_one(xi0, eta) @ p0
+        a = rank_one(xi0, basis_vector(alg.n, i)) @ p0
         b1[:, i] = evaluate(table, a) @ xi0
     return b1
 
@@ -172,11 +165,7 @@ def build_c2(table: DerivationTable, choices: ConstructionChoices, basis=None) -
     pperp = np.eye(n) - p
 
     if basis is None:
-        basis = []
-        for a in range(d, n):
-            xi = np.zeros(n, dtype=complex)
-            xi[a] = 1.0
-            basis.append(xi)
+        basis = [basis_vector(n, a) for a in range(d, n)]
 
     q1 = rank_one(xi0, eta1)
     dq1 = evaluate(table, q1)
@@ -223,37 +212,21 @@ def triple_rule_residual(table: DerivationTable, choices: ConstructionChoices) -
     q1s = adjoint(q1)
     dq1 = evaluate(table, q1)
 
-    residuals = {}
     max_residual = 0.0
     for a in range(d, n):
-        xi_a = np.zeros(n, dtype=complex)
-        xi_a[a] = 1.0
+        xi_a = basis_vector(n, a)
         q_a = rank_one(xi_a, eta1)
         qas = adjoint(q_a)
         dqa = evaluate(table, q_a)
         for i in range(d):
-            eta = np.zeros(n, dtype=complex)
-            eta[i] = 1.0
-            q = rank_one(xi_a, eta)
+            q = rank_one(xi_a, basis_vector(n, i))
             rhs = (
                 evaluate(table, q @ qas @ q1) @ q1s @ q_a
                 + q @ qas @ dqa
                 - q @ qas @ dq1 @ q1s @ q_a
             )
-            residual = op_norm(evaluate(table, q) - rhs)
-            residuals[(a, i)] = residual
-            if residual > max_residual:
-                max_residual = residual
-    return RuleResidual(residuals=residuals, max_residual=max_residual)
-
-
-def _commutator_residual(table: DerivationTable, b: np.ndarray, units) -> float:
-    worst = 0.0
-    for u in units:
-        e = table.alg.unit_matrix(u)
-        residual = op_norm(table.values[u] - (b @ e - e @ b))
-        worst = max(worst, residual)
-    return worst
+            max_residual = max(max_residual, op_norm(evaluate(table, q) - rhs))
+    return RuleResidual(max_residual=max_residual)
 
 
 def verify(
@@ -261,7 +234,6 @@ def verify(
     artifacts: ConstructionArtifacts,
     tol: float | None = None,
     generator=None,
-    norm_samples: int = 32,
     norm_seed: int = 0,
     norms: NormEstimate | None = None,
 ) -> VerificationReport:
@@ -280,21 +252,14 @@ def verify(
     if tol is None:
         tol = table.tol * table.value_scale
 
-    units = alg.basis_units()
-    units_psp = [u for u in units if u.i < d and u.j < d]
-    units_corner = [u for u in units if u.i >= d and u.j >= d]
-
-    residual_psp = max(
-        _commutator_residual(table, artifacts.b2, units_psp),
-        _commutator_residual(table, artifacts.b, units_psp),
-    )
-    residual_corner = _commutator_residual(table, artifacts.b, units_corner)
-    residual_full = _commutator_residual(table, artifacts.b, units)
+    ui, uj = np.array(alg.basis_units()).T
+    psp = (ui < d) & (uj < d)
+    corner = (ui >= d) & (uj >= d)
+    residual_b = commutator_residuals(table, artifacts.b)
+    residual_b2 = commutator_residuals(table, artifacts.b2)
     rule = triple_rule_residual(table, choices)
 
-    estimate = norms if norms is not None else norm_estimate(
-        table, samples=norm_samples, seed=norm_seed, generator=generator
-    )
+    estimate = norms if norms is not None else norm_estimate(table, seed=norm_seed, generator=generator)
     norm_data = {
         "b1": op_norm(artifacts.b1),
         "b2": op_norm(artifacts.b2),
@@ -308,9 +273,9 @@ def verify(
         gauge = scalar_identity_part(artifacts.b - _as_matrix(generator))
 
     return VerificationReport(
-        residual_pSp=residual_psp,
-        residual_corner=residual_corner,
-        residual_full=residual_full,
+        residual_pSp=float(max(residual_b2[psp].max(initial=0.0), residual_b[psp].max(initial=0.0))),
+        residual_corner=float(residual_b[corner].max(initial=0.0)),
+        residual_full=float(residual_b.max()),
         rule_max=rule.max_residual,
         norms=norm_data,
         gauge=gauge,

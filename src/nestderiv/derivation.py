@@ -6,6 +6,7 @@ linearity.  Evaluation outside the algebra is an error, never an
 extrapolation.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,13 @@ class EvaluationDomainError(ValueError):
     """Raised when a derivation is evaluated outside its algebra."""
 
 
+def check_tol(tol: float) -> float:
+    """tol itself if it is finite and > 0; a table tolerance must be both."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    return tol
+
+
 @dataclass
 class DerivationTable:
     """delta given by its values on the basis units of alg."""
@@ -38,10 +46,14 @@ class DerivationTable:
 
     def __post_init__(self):
         n = self.alg.n
+        check_tol(self.tol)
         keys = {tuple(k) for k in self.values}
-        missing = [u for u in self.alg.basis_units() if tuple(u) not in keys]
-        if missing:
-            raise ValueError(f"missing table entries for units {missing[:4]}...")
+        units = set(map(tuple, self.alg.basis_units()))
+        if keys != units:
+            raise ValueError(
+                f"table entries must be the basis units of chain {self.alg.chain}: "
+                f"missing {sorted(units - keys)[:4]}, not basis units {sorted(keys - units)[:4]}"
+            )
         clean = {}
         for key, val in self.values.items():
             val = _as_matrix(val)
@@ -52,10 +64,14 @@ class DerivationTable:
             clean[MatrixUnit(*key)] = val
         self.values = clean
 
+    def stacked(self) -> np.ndarray:
+        """The values as one (units, n, n) array, units in basis order."""
+        return np.stack([self.values[u] for u in self.alg.basis_units()])
+
     @property
     def value_scale(self) -> float:
         """1 + max operator norm over the table, the residual scale."""
-        return 1.0 + max((op_norm(v) for v in self.values.values()), default=0.0)
+        return 1.0 + float(np.linalg.norm(self.stacked(), 2, axis=(1, 2)).max())
 
     def to_json(self) -> dict:
         entries = [
@@ -70,11 +86,21 @@ class DerivationTable:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DerivationTable":
-        alg = NestAlgebra(int(obj["algebra"]["n"]), tuple(obj["algebra"]["chain"]))
-        values = {
-            (int(e["i"]), int(e["j"])): matrix_from_json(e["value"]) for e in obj["entries"]
-        }
-        return cls(alg, values, tol=float(obj.get("tol", 1e-9)))
+        """Inverse of to_json; malformed content raises KeyError or ValueError."""
+        try:
+            alg = NestAlgebra(int(obj["algebra"]["n"]), tuple(obj["algebra"]["chain"]))
+            values = {}
+            for e in obj["entries"]:
+                key = (int(e["i"]), int(e["j"]))
+                if key != (e["i"], e["j"]):
+                    raise ValueError(f"non-integer unit index ({e['i']!r}, {e['j']!r})")
+                if key in values:
+                    raise ValueError(f"duplicate entry for unit {key}")
+                values[key] = matrix_from_json(e["value"])
+            tol = float(obj.get("tol", 1e-9))
+        except TypeError as exc:
+            raise ValueError(f"malformed table: {exc}") from exc
+        return cls(alg, values, tol=tol)
 
 
 @dataclass
@@ -99,16 +125,35 @@ class NormEstimate:
     upper: float | None = None
 
 
+def unit_commutators(alg: NestAlgebra, x) -> np.ndarray:
+    """[x, E_ij] = x E_ij - E_ij x for every basis unit, as one (units, n, n) array in basis order.
+
+    x E_ij is column i of x placed in column j, and E_ij x is row j of x
+    placed in row i.  Written in that order onto zeros, every entry is
+    bit-identical to x @ E_ij - E_ij @ x.
+    """
+    x = _as_matrix(x)
+    if x.shape != (alg.n, alg.n):
+        raise DimensionError(f"operator must be {alg.n}x{alg.n}, got {x.shape}")
+    ui, uj = np.array(alg.basis_units()).T
+    rows = np.arange(len(ui))
+    out = np.zeros((len(ui), alg.n, alg.n), dtype=complex)
+    out[rows, :, uj] = x[:, ui].T
+    out[rows, ui, :] -= x[uj, :]
+    return out
+
+
+def commutator_residuals(table: DerivationTable, x, p=None) -> np.ndarray:
+    """op_norm(delta(E_ij) - [x, E_ij]) per basis unit, in basis order; times p on the right when given."""
+    residual = table.stacked() - unit_commutators(table.alg, x)
+    if p is not None:
+        residual = residual @ p
+    return np.linalg.norm(residual, 2, axis=(1, 2))
+
+
 def inner_from(alg: NestAlgebra, c) -> DerivationTable:
     """The inner derivation d_c(a) = c a - a c, tabulated on the basis units."""
-    c = _as_matrix(c)
-    if c.shape != (alg.n, alg.n):
-        raise DimensionError(f"generator must be {alg.n}x{alg.n}, got {c.shape}")
-    values = {}
-    for u in alg.basis_units():
-        e = alg.unit_matrix(u)
-        values[u] = c @ e - e @ c
-    return DerivationTable(alg, values)
+    return DerivationTable(alg, dict(zip(alg.basis_units(), unit_commutators(alg, c))))
 
 
 def validate(table: DerivationTable) -> ValidationReport:
@@ -137,7 +182,7 @@ def validate(table: DerivationTable) -> ValidationReport:
     units = alg.basis_units()
     scaled_tol = table.tol * table.value_scale
     ui, uj = np.array(units).T
-    values = np.stack([table.values[u] for u in units])
+    values = table.stacked()
     rows = np.arange(len(units))
     coords = np.arange(n)
 

@@ -40,19 +40,22 @@ def adjoint(a) -> np.ndarray:
     return _as_matrix(a).conj().T
 
 
-def op_norm(a, tol: float = 1e-12) -> float:
-    """Operator 2-norm (largest singular value).
+def basis_vector(n: int, i: int) -> np.ndarray:
+    """The i-th standard basis vector of C^n (0-based)."""
+    v = np.zeros(n, dtype=complex)
+    v[i] = 1.0
+    return v
 
-    Computed by a full SVD, which is deterministic and accurate to machine
-    precision; `tol` is accepted for interface stability and is always met.
-    """
+
+def op_norm(a) -> float:
+    """Operator 2-norm (largest singular value), by a full SVD."""
     a = _as_matrix(a)
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
 
 
-def scalar_identity_part(a, tol: float = 1e-12):
+def scalar_identity_part(a):
     """Split a square matrix into its best scalar multiple of I plus remainder.
 
     Returns (lam, residual) with lam = trace(a)/n and

@@ -106,3 +106,20 @@ def oracle_validate(table):
             residuals[(tuple(u), tuple(v))] = float(np.linalg.norm(lhs, 2))
     failing = [(u, v, r) for (u, v), r in residuals.items() if r > table.tol * scale]
     return residuals, failing
+
+
+def oracle_commutator_residuals(table, b, p=None):
+    """op_norm(delta(E_ij) - (b E_ij - E_ij b)), times p on the right when given, one unit at a time.
+
+    Returns the per-unit residuals as a list in basis order.
+    """
+    alg = table.alg
+    residuals = []
+    for u in alg.basis_units():
+        e = np.zeros((alg.n, alg.n), dtype=complex)
+        e[u.i, u.j] = 1.0
+        residual = table.values[u] - (b @ e - e @ b)
+        if p is not None:
+            residual = residual @ p
+        residuals.append(float(np.linalg.norm(residual, 2)))
+    return residuals

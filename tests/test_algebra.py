@@ -16,6 +16,11 @@ class TestNestAlgebra:
         with pytest.raises(ValueError):
             NestAlgebra(2, (2, 2))
 
+    def test_interior_levels(self):
+        assert NestAlgebra(3, (3,)).interior_levels == []
+        assert NestAlgebra(5, (2, 3, 5)).interior_levels == [1, 2]
+        assert NestAlgebra.triangular(4).interior_levels == [1, 2, 3]
+
     def test_maximal_triangular_flag(self):
         assert NestAlgebra.triangular(4).is_maximal_triangular
         assert not NestAlgebra(3, (2, 3)).is_maximal_triangular
@@ -112,7 +117,7 @@ class TestCheckStructure:
         m = random_complex(rng, (3, 3))
         assert alg.contains(p @ m @ (np.eye(3) - p))
 
-    @pytest.mark.parametrize("chain", [(1, 2, 3), (2, 3), (1, 4, 5)])
+    @pytest.mark.parametrize("chain", [(1, 2, 3), (2, 3), (1, 4, 5), tuple(range(1, 13))])
     def test_random_chains_pass(self, chain):
         alg = NestAlgebra(chain[-1], chain)
         report = check_structure(alg, trials=30, seed=11)

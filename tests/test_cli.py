@@ -199,3 +199,48 @@ def test_bad_generator_is_config_error(tmp_path, capsys, command, case):
     capsys.readouterr()
     assert main(args) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def _non_pair(obj):
+    obj["entries"][0]["value"]["data"][0] = 1.0
+
+
+def _extra_entry(i, j):
+    def mutate(obj):
+        obj["entries"].append({**obj["entries"][0], "i": i, "j": j})
+
+    return mutate
+
+
+MALFORMED_TABLES = {
+    "entries_not_a_list": lambda obj: obj.update(entries=5),
+    "non_pair_data": _non_pair,
+    "unit_out_of_range": _extra_entry(9, 9),
+    "entry_below_pattern": _extra_entry(2, 0),
+    "duplicate_entry": lambda obj: obj["entries"].append(obj["entries"][0]),
+    "fractional_index": lambda obj: obj["entries"][1].update(j=obj["entries"][1]["j"] + 0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TABLES))
+def test_malformed_table_is_config_error(tmp_path, capsys, case):
+    table_path = tmp_path / "table.json"
+    main(["generate", "--n", "3", "--seed", "2", "--out", str(table_path)])
+    obj = read(table_path)
+    MALFORMED_TABLES[case](obj)
+    table_path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["construct", "--input", str(table_path), "--out", str(tmp_path / "o.json")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: bad derivation table ")
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+@pytest.mark.parametrize("command", ["generate", "construct", "chain"])
+def test_tol_must_be_finite_and_positive(tmp_path, command, tol):
+    table_path = tmp_path / "table.json"
+    main(["generate", "--n", "3", "--seed", "2", "--out", str(table_path)])
+    args = ["--n", "3"] if command == "generate" else ["--input", str(table_path)]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, "--tol", tol, "--out", str(tmp_path / "o.json")])
+    assert exc.value.code == EXIT_CONFIG
+    assert not (tmp_path / "o.json").exists()

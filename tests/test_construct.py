@@ -198,6 +198,11 @@ class TestDefaultChoices:
         with pytest.raises(ValueError):
             default_choices(NestAlgebra(3, (3,)))
 
+    @pytest.mark.parametrize("k", [0, 3, 99, -1])
+    def test_non_interior_k_rejected(self, k):
+        with pytest.raises(ValueError, match="not an interior chain index"):
+            default_choices(NestAlgebra.triangular(3), k)
+
 
 class TestTwoProjection:
     def test_zero_table(self):

@@ -9,16 +9,18 @@ from nestderiv.algebra import NestAlgebra
 from nestderiv.derivation import (
     DerivationTable,
     EvaluationDomainError,
+    commutator_residuals,
     distance_to_scalars,
     evaluate,
     inner_from,
     norm_estimate,
+    unit_commutators,
     validate,
 )
-from nestderiv.linalg import op_norm
+from nestderiv.linalg import matrix_to_json, op_norm
 
 from conftest import random_complex, unit
-from oracles import oracle_validate
+from oracles import oracle_commutator_residuals, oracle_validate
 
 
 def zero_table(alg):
@@ -26,15 +28,21 @@ def zero_table(alg):
 
 
 @st.composite
+def algebras(draw, max_n=8):
+    """T_n or a random chain, n <= max_n."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    if draw(st.booleans()):
+        return NestAlgebra.triangular(n)
+    interior = draw(st.sets(st.integers(min_value=1, max_value=n - 1))) if n > 1 else set()
+    return NestAlgebra(n, (*sorted(interior), n))
+
+
+@st.composite
 def tables(draw):
     """Valid inner, one-entry-corrupted inner and fully random tables, n <= 7."""
-    n = draw(st.integers(min_value=1, max_value=7))
+    alg = draw(algebras(max_n=7))
+    n = alg.n
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    if draw(st.booleans()):
-        alg = NestAlgebra.triangular(n)
-    else:
-        interior = draw(st.sets(st.integers(min_value=1, max_value=n - 1))) if n > 1 else set()
-        alg = NestAlgebra(n, (*sorted(interior), n))
     units = alg.basis_units()
     kind = draw(st.sampled_from(["valid", "corrupted", "random"]))
     if kind == "random":
@@ -45,6 +53,50 @@ def tables(draw):
         size = 10.0 ** draw(st.integers(min_value=-12, max_value=0))
         table.values[u] = table.values[u] + size * random_complex(rng, (n, n))
     return table
+
+
+class TestUnitCommutators:
+    @given(algebras(), st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_products_and_per_unit_oracle(self, alg, seed, inner):
+        rng = np.random.default_rng(seed)
+        n = alg.n
+        x, b = random_complex(rng, (n, n)), random_complex(rng, (n, n))
+        stacked = unit_commutators(alg, x)
+        for r, u in enumerate(alg.basis_units()):
+            e = unit(n, u.i, u.j)
+            assert np.array_equal(stacked[r], x @ e - e @ x)
+        if inner:
+            table = inner_from(alg, random_complex(rng, (n, n)))
+        else:
+            table = DerivationTable(alg, {u: random_complex(rng, (n, n)) for u in alg.basis_units()})
+        assert np.array_equal(commutator_residuals(table, b), oracle_commutator_residuals(table, b))
+        for k in range(1, alg.num_levels + 1):
+            p = alg.lattice_projection(k)
+            assert np.array_equal(commutator_residuals(table, b, p), oracle_commutator_residuals(table, b, p))
+
+
+class TestDerivationTable:
+    def test_rejects_malformed_input(self):
+        alg = NestAlgebra.triangular(3)
+        values = {u: np.zeros((3, 3)) for u in alg.basis_units()}
+        for key in [(9, 9), (2, 0), (-1, 0)]:  # out of range, below the pattern, negative
+            with pytest.raises(ValueError, match="not basis units"):
+                DerivationTable(alg, {**values, key: np.zeros((3, 3))})
+        for tol in [float("inf"), float("nan"), 0.0, -1.0]:
+            with pytest.raises(ValueError, match="tol"):
+                DerivationTable(alg, values, tol=tol)
+
+        obj = inner_from(alg, np.eye(3)).to_json()
+        assert len(DerivationTable.from_json(obj).values) == 6
+        duplicate = {**obj, "entries": obj["entries"] + obj["entries"][:1]}
+        with pytest.raises(ValueError, match="duplicate entry for unit \\(0, 0\\)"):
+            DerivationTable.from_json(duplicate)
+        for entries in [5, {"a": 1}, [{"i": 0, "j": 0, "value": {**matrix_to_json(np.eye(3)), "data": [1] * 9}}]]:
+            with pytest.raises(ValueError, match="malformed"):
+                DerivationTable.from_json({**obj, "entries": entries})
+        with pytest.raises(ValueError, match="tol"):
+            DerivationTable.from_json({**obj, "tol": 0})
 
 
 class TestValidate:
