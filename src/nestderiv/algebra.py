@@ -127,14 +127,16 @@ def _commutant_nullity(alg: NestAlgebra, tol: float):
     and right singular vectors; the left ones are never formed.
     """
     n = alg.n
-    rows = []
-    eye = np.eye(n)
-    for u in alg.basis_units():
-        e = alg.unit_matrix(u)
-        # vec(xe - ex) = (e^T kron I - I kron e) vec(x), column-major vec
-        rows.append(np.kron(e.T, eye) - np.kron(eye, e))
-    system = np.vstack(rows)
-    _, s, vh = np.linalg.svd(system, full_matrices=False)
+    ui, uj = np.array(alg.basis_units()).T
+    units = np.arange(len(ui))[:, None]
+    coords = np.arange(n)[None, :]
+    # system[u, s, r, q, p] is the coefficient of x[p, q] in entry (r, s) of x E_ij - E_ij x for u = E_ij,
+    # so the reshape maps column-major vec(x) to the column-major vec(x E_ij - E_ij x) stacked over u.
+    # x E_ij is column i of x in column j, E_ij x is row j of x in row i; both hit x[i, i] at (i, i) when i == j
+    system = np.zeros((len(ui), n, n, n, n), dtype=complex)
+    system[units, uj[:, None], coords, ui[:, None], coords] = 1.0
+    system[units, coords, ui[:, None], coords, uj[:, None]] -= 1.0
+    _, s, vh = np.linalg.svd(system.reshape(len(ui) * n * n, n * n), full_matrices=False)
     scale = max(1.0, float(s[0]))
     nullity = int(np.sum(s <= tol * scale))
     x = vh[-1].reshape(n, n, order="F")

@@ -5,6 +5,8 @@ second, so the rank-one map xi (x) eta sends zeta to <zeta, xi> eta and has
 matrix eta * xi^H.
 """
 
+import math
+
 import numpy as np
 
 
@@ -56,11 +58,13 @@ def op_norm(a) -> float:
 
 
 def scalar_identity_part(a):
-    """Split a square matrix into its best scalar multiple of I plus remainder.
+    """Split a square matrix into its trace-centred scalar part plus remainder.
 
     Returns (lam, residual) with lam = trace(a)/n and
-    residual = op_norm(a - lam*I).  Scalar-ness is the caller's call via
-    residual <= tol.
+    residual = op_norm(a - lam*I), which is zero if and only if a is scalar.
+    Scalar-ness is the caller's call via residual <= tol.  lam need not
+    minimize op_norm(a - lam*I); derivation.distance_to_scalars finds that
+    minimum.
     """
     a = _as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -79,8 +83,12 @@ def matrix_to_json(a) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Inverse of matrix_to_json; rejects non-finite entries."""
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    """Inverse of matrix_to_json; rejects dimensions that are not non-negative integers and non-finite entries."""
+    rows, cols = obj["rows"], obj["cols"]
+    for d in (rows, cols):
+        if not math.isfinite(d) or int(d) != d or d < 0:
+            raise ValueError(f"matrix dimensions must be non-negative integers, got {rows!r} x {cols!r}")
+    rows, cols = int(rows), int(cols)
     data = obj["data"]
     if len(data) != rows * cols:
         raise DimensionError(f"expected {rows * cols} entries, got {len(data)}")

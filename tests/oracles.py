@@ -6,6 +6,8 @@ defining formulas, without calling the package's evaluation or construction
 paths.  Inputs are small integer matrices so the arithmetic is exact.
 """
 
+import itertools
+
 import numpy as np
 
 
@@ -123,3 +125,86 @@ def oracle_commutator_residuals(table, b, p=None):
             residual = residual @ p
         residuals.append(float(np.linalg.norm(residual, 2)))
     return residuals
+
+
+def golden_min(f, lo, hi, tol):
+    """Golden-section minimizer of a unimodal f on [lo, hi]; returns argmin."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > tol:
+        if f1 > f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = f(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = f(x1)
+    return 0.5 * (lo + hi)
+
+
+def oracle_distance_to_scalars(c):
+    """min over lam = x + iy of op_norm(c - lam I), by nested golden-section search.
+
+    f(x, y) is convex, so g(x) = min_y f(x, y) is convex too: the outer search
+    minimizes g over x, each g(x) an inner search over y.  Both run on the
+    square of half-width 2 f(trace(c)/n) about trace(c)/n, which holds the
+    minimizer.  Returns the value of f at the point found, an upper bound on
+    the minimum within about 1e-10 * max(1, minimum) of it, f being
+    1-Lipschitz in lam.
+    """
+    n = c.shape[0]
+    eye = np.eye(n)
+    centre = complex(np.trace(c) / n)
+    radius = 2.0 * np.linalg.norm(c - centre * eye, 2)
+    tol = 1e-11 * max(1.0, radius)
+
+    def f(x, y):
+        return np.linalg.norm(c - complex(x, y) * eye, 2)
+
+    def inner(x):
+        return golden_min(lambda y: f(x, y), centre.imag - radius, centre.imag + radius, tol)
+
+    x = golden_min(lambda x: f(x, inner(x)), centre.real - radius, centre.real + radius, tol)
+    return f(x, inner(x))
+
+
+def oracle_enclosing_disk_radius(points):
+    """Radius of the smallest disk holding the complex points, by brute force.
+
+    The smallest disk has two points on a diameter or three on its boundary,
+    so it is the smallest of those candidate disks that holds every point.
+    """
+    points = np.asarray(points, dtype=complex)
+    if len(points) == 1:
+        return 0.0
+    candidates = [((a + b) / 2, abs(a - b) / 2) for a, b in itertools.combinations(points, 2)]
+    for a, b, c in itertools.combinations(points, 3):
+        # circumcentre of a, b, c, from |z - a| = |z - b| = |z - c|
+        d = 2 * (a.real * (b.imag - c.imag) + b.real * (c.imag - a.imag) + c.real * (a.imag - b.imag))
+        if d == 0:
+            continue
+        z = -1j * (abs(a) ** 2 * (b - c) + abs(b) ** 2 * (c - a) + abs(c) ** 2 * (a - b)) / d
+        candidates.append((z, abs(z - a)))
+    return min(r for z, r in candidates if np.all(np.abs(points - z) <= r * (1 + 1e-12) + 1e-15))
+
+
+def oracle_commutant_nullity(alg, tol):
+    """(nullity, scalar residual) of the commutant from the Kronecker system built one unit at a time.
+
+    The rows of unit E are e^T kron I - I kron e, the map vec(x) -> vec(x e - e x)
+    in column-major vec; the system is stacked in basis order and solved as in
+    algebra._commutant_nullity.
+    """
+    n = alg.n
+    eye = np.eye(n)
+    rows = []
+    for u in alg.basis_units():
+        e = alg.unit_matrix(u)
+        rows.append(np.kron(e.T, eye) - np.kron(eye, e))
+    _, s, vh = np.linalg.svd(np.vstack(rows), full_matrices=False)
+    nullity = int(np.sum(s <= tol * max(1.0, float(s[0]))))
+    x = vh[-1].reshape(n, n, order="F")
+    return nullity, float(np.linalg.norm(x - np.trace(x) / n * eye, 2))

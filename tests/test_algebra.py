@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from nestderiv.algebra import MatrixUnit, NestAlgebra, check_structure
+from nestderiv.algebra import MatrixUnit, NestAlgebra, _commutant_nullity, check_structure
 from nestderiv.linalg import op_norm
 
 from conftest import random_complex, unit
+from oracles import oracle_commutant_nullity
 
 
 class TestNestAlgebra:
@@ -116,6 +117,11 @@ class TestCheckStructure:
         p = alg.lattice_projection(1)
         m = random_complex(rng, (3, 3))
         assert alg.contains(p @ m @ (np.eye(3) - p))
+
+    @pytest.mark.parametrize("chain", [(1,), (3,), tuple(range(1, 5)), (2, 5, 8), tuple(range(1, 8))])
+    def test_commutant_matches_per_unit_kron_oracle(self, chain):
+        alg = NestAlgebra(chain[-1], chain)
+        assert _commutant_nullity(alg, 1e-10) == oracle_commutant_nullity(alg, 1e-10)
 
     @pytest.mark.parametrize("chain", [(1, 2, 3), (2, 3), (1, 4, 5), tuple(range(1, 13))])
     def test_random_chains_pass(self, chain):

@@ -180,22 +180,26 @@ BAD_GENERATORS = {
     "bad_json": "{not json",
     "missing_keys": json.dumps({"rows": 3, "cols": 3}),
     "wrong_shape": json.dumps({"rows": 2, "cols": 2, "data": [[1.0, 0.0]] * 4}),
+    "fractional_shape": json.dumps({"rows": 3.5, "cols": 3, "data": [[1.0, 0.0]] * 9}),
+    "infinite_shape": json.dumps({"rows": float("inf"), "cols": 3, "data": [[1.0, 0.0]] * 9}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_GENERATORS))
-@pytest.mark.parametrize("command", ["construct", "verify", "chain"])
+@pytest.mark.parametrize("command", ["construct", "verify", "chain", "verify --b"])
 def test_bad_generator_is_config_error(tmp_path, capsys, command, case):
+    """The bad matrix goes to --generator, or to --b for "verify --b"."""
     table_path = tmp_path / "table.json"
     main(["generate", "--n", "3", "--seed", "2", "--out", str(table_path)])
-    generator = tmp_path / "generator.json"
-    generator.write_text(BAD_GENERATORS[case])
+    bad = tmp_path / "bad.json"
+    bad.write_text(BAD_GENERATORS[case])
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps(matrix_to_json(np.zeros((3, 3)))))
+    command, _, flag = command.partition(" ")
+    generator, b = (zero, bad) if flag == "--b" else (bad, zero)
     args = [command, "--input", str(table_path), "--generator", str(generator), "--out", str(tmp_path / "o.json")]
     if command == "verify":
-        b_path = tmp_path / "b.json"
-        with open(b_path, "w") as handle:
-            json.dump(matrix_to_json(np.zeros((3, 3))), handle)
-        args += ["--b", str(b_path)]
+        args += ["--b", str(b)]
     capsys.readouterr()
     assert main(args) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: ")
@@ -219,6 +223,8 @@ MALFORMED_TABLES = {
     "entry_below_pattern": _extra_entry(2, 0),
     "duplicate_entry": lambda obj: obj["entries"].append(obj["entries"][0]),
     "fractional_index": lambda obj: obj["entries"][1].update(j=obj["entries"][1]["j"] + 0.5),
+    "fractional_value_shape": lambda obj: obj["entries"][0]["value"].update(rows=3.5),
+    "infinite_index": lambda obj: obj["entries"][0].update(i=float("inf")),
 }
 
 

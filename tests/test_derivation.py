@@ -20,7 +20,12 @@ from nestderiv.derivation import (
 from nestderiv.linalg import matrix_to_json, op_norm
 
 from conftest import random_complex, unit
-from oracles import oracle_commutator_residuals, oracle_validate
+from oracles import (
+    oracle_commutator_residuals,
+    oracle_distance_to_scalars,
+    oracle_enclosing_disk_radius,
+    oracle_validate,
+)
 
 
 def zero_table(alg):
@@ -275,6 +280,34 @@ class TestDistanceToScalars:
             c = random_complex(rng, (4, 4))
             lam, dist = distance_to_scalars(c)
             assert dist <= op_norm(c - (np.trace(c) / 4) * np.eye(4)) + 1e-12
+
+    def test_kink_minimum_is_reached(self):
+        # the smallest disk around the spectrum {1+i, -1-i} has radius sqrt(2)
+        _, dist = distance_to_scalars(np.diag([1 + 1j, -1 - 1j, 1 + 1j]))
+        assert abs(dist - math.sqrt(2)) <= 1e-12
+
+    def test_normal_matrix_is_enclosing_disk_radius(self, rng):
+        for n in range(1, 9):
+            for _ in range(3):
+                z = random_complex(rng, n)
+                q, _ = np.linalg.qr(random_complex(rng, (n, n)))
+                _, dist = distance_to_scalars(q @ np.diag(z) @ q.conj().T)
+                radius = oracle_enclosing_disk_radius(z)
+                assert abs(dist - radius) <= 1e-10 * max(1.0, radius)
+
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=-3.0, max_value=3.0),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_nested_golden_section_oracle(self, n, seed, log_scale):
+        c = 10.0**log_scale * random_complex(np.random.default_rng(seed), (n, n))
+        lam, dist = distance_to_scalars(c)
+        best = oracle_distance_to_scalars(c)
+        assert dist <= best + 1e-12 * max(1.0, best)
+        assert dist >= best - 1e-9 * max(1.0, best)
+        assert op_norm(c - lam * np.eye(n)) == dist
 
 
 def test_json_roundtrip(rng):
