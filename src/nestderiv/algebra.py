@@ -6,6 +6,8 @@ chain (1, 2, ..., n) gives the full upper-triangular algebra, the finite
 model of a maximal triangular algebra with maximal-abelian diagonal.
 """
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -29,7 +31,11 @@ class NestAlgebra:
     chain: tuple
 
     def __post_init__(self):
+        for d in (self.n, *self.chain):
+            if not math.isfinite(d) or int(d) != d:
+                raise ValueError(f"dimension and chain entries must be integers, got n={self.n!r}, chain={self.chain!r}")
         chain = tuple(int(d) for d in self.chain)
+        object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "chain", chain)
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
@@ -68,9 +74,8 @@ class NestAlgebra:
         raise AssertionError("unreachable: chain ends at n")
 
     def pattern_mask(self) -> np.ndarray:
-        """Boolean n x n mask of admissible (i, j) positions."""
-        blocks = np.array([self.block_of(r) for r in range(self.n)])
-        return blocks[:, None] <= blocks[None, :]
+        """Boolean n x n mask of admissible (i, j) positions, read-only and built once per chain."""
+        return _pattern_mask(self)
 
     def contains(self, a, tol: float = 1e-12) -> bool:
         """Whether every entry below the block pattern has modulus <= tol."""
@@ -97,6 +102,14 @@ class NestAlgebra:
         e = np.zeros((self.n, self.n), dtype=complex)
         e[u.i, u.j] = 1.0
         return e
+
+
+@functools.lru_cache(maxsize=256)
+def _pattern_mask(alg: NestAlgebra) -> np.ndarray:
+    blocks = np.array([alg.block_of(r) for r in range(alg.n)])
+    mask = blocks[:, None] <= blocks[None, :]
+    mask.setflags(write=False)
+    return mask
 
 
 @dataclass

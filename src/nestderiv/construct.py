@@ -212,7 +212,7 @@ def triple_rule_residual(table: DerivationTable, choices: ConstructionChoices) -
     q1s = adjoint(q1)
     dq1 = evaluate(table, q1)
 
-    max_residual = 0.0
+    residuals = []
     for a in range(d, n):
         xi_a = basis_vector(n, a)
         q_a = rank_one(xi_a, eta1)
@@ -225,8 +225,8 @@ def triple_rule_residual(table: DerivationTable, choices: ConstructionChoices) -
                 + q @ qas @ dqa
                 - q @ qas @ dq1 @ q1s @ q_a
             )
-            max_residual = max(max_residual, op_norm(evaluate(table, q) - rhs))
-    return RuleResidual(max_residual=max_residual)
+            residuals.append(evaluate(table, q) - rhs)
+    return RuleResidual(max_residual=float(np.linalg.norm(residuals, 2, axis=(1, 2)).max()))
 
 
 def verify(

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import MatrixUnit, NestAlgebra
+from .algebra import NestAlgebra
 from .linalg import (
     DimensionError,
     _as_matrix,
@@ -50,21 +50,23 @@ class DerivationTable:
     def __post_init__(self):
         n = self.alg.n
         check_tol(self.tol)
-        keys = {tuple(k) for k in self.values}
-        units = set(map(tuple, self.alg.basis_units()))
-        if keys != units:
+        given = {tuple(k): v for k, v in self.values.items()}
+        basis = self.alg.basis_units()
+        units = set(map(tuple, basis))
+        if given.keys() != units:
             raise ValueError(
                 f"table entries must be the basis units of chain {self.alg.chain}: "
-                f"missing {sorted(units - keys)[:4]}, not basis units {sorted(keys - units)[:4]}"
+                f"missing {sorted(units - given.keys())[:4]}, not basis units {sorted(given.keys() - units)[:4]}"
             )
+        # stored in basis order, whatever the order given, so sums over the values run in basis order
         clean = {}
-        for key, val in self.values.items():
-            val = _as_matrix(val)
+        for u in basis:
+            val = _as_matrix(given[u])
             if val.shape != (n, n):
-                raise DimensionError(f"value for {key} has shape {val.shape}, expected {(n, n)}")
+                raise DimensionError(f"value for {tuple(u)} has shape {val.shape}, expected {(n, n)}")
             if not np.all(np.isfinite(val)):
-                raise ValueError(f"non-finite value for unit {key}")
-            clean[MatrixUnit(*key)] = val
+                raise ValueError(f"non-finite value for unit {tuple(u)}")
+            clean[u] = val
         self.values = clean
 
     def stacked(self) -> np.ndarray:
@@ -91,7 +93,7 @@ class DerivationTable:
     def from_json(cls, obj: dict) -> "DerivationTable":
         """Inverse of to_json; malformed content raises KeyError or ValueError."""
         try:
-            alg = NestAlgebra(int(obj["algebra"]["n"]), tuple(obj["algebra"]["chain"]))
+            alg = NestAlgebra(obj["algebra"]["n"], tuple(obj["algebra"]["chain"]))
             values = {}
             for e in obj["entries"]:
                 key = (int(e["i"]), int(e["j"]))
@@ -225,29 +227,39 @@ def validate(table: DerivationTable) -> ValidationReport:
     )
 
 
+def _combine(coeffs: np.ndarray, values, n: int) -> np.ndarray:
+    """sum over u of coeffs[:, u] * values[u]: one n x n sum per row of coeffs.
+
+    The terms are added onto zeros one unit at a time, in the order of values,
+    so every row gets the same bits as that row's sum taken alone.
+    """
+    out = np.zeros((len(coeffs), n, n), dtype=complex)
+    if len(coeffs) == 1:
+        # scalar coefficients: numpy multiplies two one-element complex arrays (n = 1) by a loop that rounds differently
+        columns, acc = coeffs[0], out[0]
+    else:
+        columns, acc = coeffs.T[:, :, None, None], out
+    for column, value in zip(columns, values):
+        acc += column * value
+    return out
+
+
 def evaluate(table: DerivationTable, a) -> np.ndarray:
-    """delta(a) = sum over admissible units of a_ij * delta(E_ij).
+    """delta(a) = sum over admissible units of a_ij * delta(E_ij), the nonzero a_ij in basis order.
 
     a must lie in the algebra (within the table tolerance).
     """
     a = _as_matrix(a)
     alg = table.alg
-    if not alg.contains(a, tol=table.tol * max(1.0, op_norm(a))):
-        raise EvaluationDomainError("derivation undefined outside S")
-    out = np.zeros((alg.n, alg.n), dtype=complex)
-    for u, value in table.values.items():
-        coeff = a[u.i, u.j]
-        if coeff != 0:
-            out += coeff * value
-    return out
-
-
-def _random_algebra_element(alg: NestAlgebra, rng) -> np.ndarray:
+    if a.shape != (alg.n, alg.n):
+        raise DimensionError(f"expected {alg.n}x{alg.n}, got {a.shape}")
     mask = alg.pattern_mask()
-    a = rng.standard_normal((alg.n, alg.n)) + 1j * rng.standard_normal((alg.n, alg.n))
-    a[~mask] = 0.0
-    norm = op_norm(a)
-    return a / norm if norm > 0 else a
+    # entries below the pattern that are all exactly zero pass at any tolerance, so only others need the SVD
+    if np.any(a[~mask]) and not alg.contains(a, tol=table.tol * max(1.0, op_norm(a))):
+        raise EvaluationDomainError("derivation undefined outside S")
+    rows, cols = np.nonzero(np.where(mask, a, 0))
+    values = [table.values[u] for u in zip(rows.tolist(), cols.tolist())]
+    return _combine(a[None, rows, cols], values, alg.n)[0]
 
 
 def distance_to_scalars(c):
@@ -300,27 +312,33 @@ def norm_estimate(table: DerivationTable, samples: int = 32, seed: int = 0, gene
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     alg = table.alg
+    n = alg.n
     mask = alg.pattern_mask()
+    ui, uj = np.array(alg.basis_units()).T
+    values = table.stacked()
 
-    best_a = None
+    # the stream order of drawing each sample's real part, then its imaginary part, sample by sample
+    draws = rng.standard_normal((samples, 2, n, n))
+    sample = draws[:, 0] + 1j * draws[:, 1]
+    sample[:, ~mask] = 0.0
+    norms = np.linalg.norm(sample, 2, axis=(1, 2))[:, None, None]
+    np.divide(sample, norms, out=sample, where=norms > 0)
+    found = np.linalg.norm(_combine(sample[:, ui, uj], values, n), 2, axis=(1, 2))
+    first = int(np.argmax(found))  # the first of equal maxima, as a scan keeping strict gains would
     lower = 0.0
-    for _ in range(samples):
-        a = _random_algebra_element(alg, rng)
-        val = op_norm(evaluate(table, a))
-        if val > lower:
-            lower, best_a = val, a
-
-    if best_a is not None:
+    if found[first] > 0:
+        lower, best_a = float(found[first]), sample[first]
         step = 0.5
         for _ in range(40):
-            perturb = rng.standard_normal((alg.n, alg.n)) + 1j * rng.standard_normal((alg.n, alg.n))
+            perturb = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             perturb[~mask] = 0.0
             cand = best_a + step * perturb
             norm = op_norm(cand)
             if norm == 0:
                 continue
             cand = cand / norm
-            val = op_norm(evaluate(table, cand))
+            # cand lies in the pattern by construction, so it needs no domain check
+            val = op_norm(_combine(cand[None, ui, uj], values, n)[0])
             if val > lower:
                 lower, best_a = val, cand
             else:

@@ -50,11 +50,15 @@ def basis_vector(n: int, i: int) -> np.ndarray:
 
 
 def op_norm(a) -> float:
-    """Operator 2-norm (largest singular value), by a full SVD."""
+    """Operator 2-norm (largest singular value), by an SVD without singular vectors.
+
+    The same singular values np.linalg.norm(a, 2) takes the maximum of,
+    without its axis bookkeeping, which costs as much as the SVD at small n.
+    """
     a = _as_matrix(a)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False).max())
 
 
 def scalar_identity_part(a):

@@ -208,3 +208,90 @@ def oracle_commutant_nullity(alg, tol):
     nullity = int(np.sum(s <= tol * max(1.0, float(s[0]))))
     x = vh[-1].reshape(n, n, order="F")
     return nullity, float(np.linalg.norm(x - np.trace(x) / n * eye, 2))
+
+
+def oracle_evaluate(table, a):
+    """delta(a) by the per-unit loop over the table, after the SVD-sized domain check on every call.
+
+    Raises EvaluationDomainError when an entry below the pattern exceeds
+    table.tol * max(1, op_norm(a)); the sum runs over the table in its stored
+    order, skipping zero coefficients.
+    """
+    from nestderiv.derivation import EvaluationDomainError
+
+    a = np.asarray(a, dtype=complex)
+    alg = table.alg
+    if not alg.contains(a, tol=table.tol * max(1.0, float(np.linalg.norm(a, 2)))):
+        raise EvaluationDomainError("derivation undefined outside S")
+    out = np.zeros((alg.n, alg.n), dtype=complex)
+    for u, value in table.values.items():
+        coeff = a[u.i, u.j]
+        if coeff != 0:
+            out += coeff * value
+    return out
+
+
+def oracle_norm_estimate(table, samples=32, seed=0):
+    """norm_estimate's sampled lower bound, one sample at a time.
+
+    Each sample is drawn real part then imaginary part, masked to the pattern,
+    normalized and evaluated through oracle_evaluate; the best one is refined
+    by 40 steps of random local ascent drawn from the same stream.
+    """
+    rng = np.random.default_rng(seed)
+    alg = table.alg
+    n = alg.n
+    mask = alg.pattern_mask()
+
+    def norm(a):
+        return float(np.linalg.norm(a, 2))
+
+    best_a = None
+    lower = 0.0
+    for _ in range(samples):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a[~mask] = 0.0
+        size = norm(a)
+        a = a / size if size > 0 else a
+        val = norm(oracle_evaluate(table, a))
+        if val > lower:
+            lower, best_a = val, a
+
+    if best_a is not None:
+        step = 0.5
+        for _ in range(40):
+            perturb = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            perturb[~mask] = 0.0
+            cand = best_a + step * perturb
+            size = norm(cand)
+            if size == 0:
+                continue
+            cand = cand / size
+            val = norm(oracle_evaluate(table, cand))
+            if val > lower:
+                lower, best_a = val, cand
+            else:
+                step *= 0.8
+    return lower
+
+
+def oracle_rule_max(table, choices):
+    """triple_rule_residual's maximum taken one corner pair at a time, one SVD per pair."""
+    from nestderiv.derivation import evaluate
+
+    alg = table.alg
+    n = alg.n
+    d = alg.chain[choices.k - 1]
+    q1 = np.outer(choices.eta1, choices.xi0.conj())
+    q1s = q1.conj().T
+    dq1 = evaluate(table, q1)
+    worst = 0.0
+    for a in range(d, n):
+        q_a = np.outer(choices.eta1, np.eye(n)[a])
+        qas = q_a.conj().T
+        dqa = evaluate(table, q_a)
+        for i in range(d):
+            q = np.outer(np.eye(n)[i], np.eye(n)[a]).astype(complex)
+            rhs = evaluate(table, q @ qas @ q1) @ q1s @ q_a + q @ qas @ dqa - q @ qas @ dq1 @ q1s @ q_a
+            worst = max(worst, float(np.linalg.norm(evaluate(table, q) - rhs, 2)))
+    return worst

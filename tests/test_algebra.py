@@ -17,6 +17,26 @@ class TestNestAlgebra:
         with pytest.raises(ValueError):
             NestAlgebra(2, (2, 2))
 
+    def test_rejects_non_integer_dimensions(self):
+        for n, chain in [(3, (1, 2.9, 3)), (3.5, (1, 2, 3.5)), (3.5, (1, 2, 3)), (float("inf"), (1, float("inf")))]:
+            with pytest.raises(ValueError, match="must be integers"):
+                NestAlgebra(n, chain)
+        alg = NestAlgebra(3.0, (1.0, 3.0))
+        assert alg == NestAlgebra(3, (1, 3))
+        assert type(alg.n) is int and all(type(d) is int for d in alg.chain)
+
+    @pytest.mark.parametrize("chain", [(1,), (2,), (1, 2), (1, 2, 3, 4, 5), (2, 5, 9), (1, 4, 6, 7), (3, 10)])
+    def test_pattern_mask_is_cached_and_read_only(self, chain):
+        alg = NestAlgebra(chain[-1], chain)
+        n = alg.n
+        mask = alg.pattern_mask()
+        expected = [[alg.block_of(i) <= alg.block_of(j) for j in range(n)] for i in range(n)]
+        assert mask.dtype == bool and np.array_equal(mask, expected)
+        assert NestAlgebra(n, chain).pattern_mask() is mask
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, 0] = False
+        assert np.array_equal(alg.pattern_mask(), expected)
+
     def test_interior_levels(self):
         assert NestAlgebra(3, (3,)).interior_levels == []
         assert NestAlgebra(5, (2, 3, 5)).interior_levels == [1, 2]

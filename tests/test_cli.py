@@ -225,6 +225,9 @@ MALFORMED_TABLES = {
     "fractional_index": lambda obj: obj["entries"][1].update(j=obj["entries"][1]["j"] + 0.5),
     "fractional_value_shape": lambda obj: obj["entries"][0]["value"].update(rows=3.5),
     "infinite_index": lambda obj: obj["entries"][0].update(i=float("inf")),
+    "fractional_n": lambda obj: obj["algebra"].update(n=3.5),
+    "fractional_chain": lambda obj: obj["algebra"].update(chain=[1, 2.9, 3]),
+    "infinite_n": lambda obj: obj["algebra"].update(n=float("inf")),
 }
 
 

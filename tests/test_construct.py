@@ -28,7 +28,7 @@ def choices_for(alg, k):
     return ConstructionChoices(k=k, xi0=basis_vec(alg.n, d), eta1=basis_vec(alg.n, 0))
 
 
-from oracles import oracle_b1, oracle_c1, oracle_c2
+from oracles import oracle_b1, oracle_c1, oracle_c2, oracle_rule_max
 
 # --- worked instances -------------------------------------------------------
 
@@ -266,6 +266,19 @@ class TestTripleRule:
         table.values[(0, 1)] = table.values[(0, 1)] + 1e-3 * unit(2, 1, 1)
         rule = triple_rule_residual(table, choices_for(alg, 1))
         assert rule.max_residual < 1e-14 * table.value_scale
+
+    @pytest.mark.parametrize("chain", [(1, 2, 3, 4, 5, 6, 7), (2, 5, 9), (3, 4, 8), (1, 6)])
+    def test_max_matches_per_pair_oracle(self, rng, chain):
+        alg = NestAlgebra(chain[-1], chain)
+        n = alg.n
+        table = inner_from(alg, random_complex(rng, (n, n)))
+        u = alg.basis_units()[int(rng.integers(len(alg.basis_units())))]
+        table.values[u] = table.values[u] + 1e-3 * random_complex(rng, (n, n))
+        for k in alg.interior_levels:
+            d = alg.chain[k - 1]
+            for xi0, eta1 in [(d, 0), (n - 1, d - 1)]:
+                choices = ConstructionChoices(k=k, xi0=basis_vec(n, xi0), eta1=basis_vec(n, eta1))
+                assert triple_rule_residual(table, choices).max_residual == oracle_rule_max(table, choices)
 
 
 class TestVerify:

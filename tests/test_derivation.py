@@ -17,13 +17,15 @@ from nestderiv.derivation import (
     unit_commutators,
     validate,
 )
-from nestderiv.linalg import matrix_to_json, op_norm
+from nestderiv.linalg import DimensionError, matrix_to_json, op_norm
 
 from conftest import random_complex, unit
 from oracles import (
     oracle_commutator_residuals,
     oracle_distance_to_scalars,
     oracle_enclosing_disk_radius,
+    oracle_evaluate,
+    oracle_norm_estimate,
     oracle_validate,
 )
 
@@ -57,6 +59,23 @@ def tables(draw):
         u = units[draw(st.integers(min_value=0, max_value=len(units) - 1))]
         size = 10.0 ** draw(st.integers(min_value=-12, max_value=0))
         table.values[u] = table.values[u] + size * random_complex(rng, (n, n))
+    return table
+
+
+@st.composite
+def norm_tables(draw):
+    """Inner, zero and mutated-after-inner_from tables on T_n and random chains, n <= 10."""
+    alg = draw(algebras(max_n=10))
+    n = alg.n
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(["inner", "zero", "mutated"]))
+    if kind == "zero":
+        return zero_table(alg)
+    table = inner_from(alg, 10.0 ** draw(st.integers(min_value=-3, max_value=3)) * random_complex(rng, (n, n)))
+    if kind == "mutated":
+        units = alg.basis_units()
+        u = units[draw(st.integers(min_value=0, max_value=len(units) - 1))]
+        table.values[u] = table.values[u] + random_complex(rng, (n, n))
     return table
 
 
@@ -102,6 +121,19 @@ class TestDerivationTable:
                 DerivationTable.from_json({**obj, "entries": entries})
         with pytest.raises(ValueError, match="tol"):
             DerivationTable.from_json({**obj, "tol": 0})
+
+    def test_values_stored_in_basis_order(self, rng):
+        alg = NestAlgebra(5, (2, 3, 5))
+        units = alg.basis_units()
+        given = {tuple(u): random_complex(rng, (5, 5)) for u in reversed(units)}
+        assert list(DerivationTable(alg, given).values) == units
+        obj = inner_from(alg, random_complex(rng, (5, 5))).to_json()
+        obj["entries"].reverse()
+        table = DerivationTable.from_json(obj)
+        assert list(table.values) == units
+        a = random_complex(rng, (5, 5))
+        a[~alg.pattern_mask()] = 0
+        assert np.array_equal(evaluate(table, a), oracle_evaluate(table, a))
 
 
 class TestValidate:
@@ -196,6 +228,53 @@ class TestEvaluate:
         with pytest.raises(EvaluationDomainError):
             evaluate(table, unit(2, 1, 0))
 
+    def test_domain_contract(self, rng):
+        alg = NestAlgebra(5, (2, 3, 5))
+        table = inner_from(alg, random_complex(rng, (5, 5)))
+        a = random_complex(rng, (5, 5))
+        a[~alg.pattern_mask()] = 0
+        size = table.tol * max(1.0, op_norm(a))
+        near = a.copy()
+        near[4, 0] = 0.5 * size
+        assert np.array_equal(evaluate(table, near), evaluate(table, a))
+        far = a.copy()
+        far[4, 0] = 2.0 * size
+        with pytest.raises(EvaluationDomainError):
+            evaluate(table, far)
+        # below 1 the tolerance is tol itself, not tol * norm
+        tiny = 1e-3 * unit(5, 0, 4)
+        tiny[3, 1] = 0.5 * table.tol
+        assert np.array_equal(evaluate(table, tiny), evaluate(table, 1e-3 * unit(5, 0, 4)))
+        tiny[3, 1] = 2.0 * table.tol
+        with pytest.raises(EvaluationDomainError):
+            evaluate(table, tiny)
+        for shape in [(4, 4), (5, 4), (6, 6)]:
+            with pytest.raises(DimensionError):
+                evaluate(table, np.zeros(shape))
+
+    @given(norm_tables(), st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(["dense", "sparse", "unit", "near"]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_unit_oracle(self, table, seed, kind):
+        alg = table.alg
+        n = alg.n
+        rng = np.random.default_rng(seed)
+        a = random_complex(rng, (n, n))
+        if kind == "sparse":
+            a[rng.random((n, n)) < 0.7] = 0
+        elif kind == "unit":
+            u = alg.basis_units()[rng.integers(len(alg.basis_units()))]
+            a = complex(*rng.standard_normal(2)) * unit(n, u.i, u.j)
+        a[~alg.pattern_mask()] = 0
+        if kind == "near" and not alg.pattern_mask().all():
+            below = np.argwhere(~alg.pattern_mask())
+            i, j = below[rng.integers(len(below))]
+            a[i, j] = 0.5 * table.tol * max(1.0, op_norm(a))
+        assert np.array_equal(evaluate(table, a), oracle_evaluate(table, a))
+        units = alg.basis_units()
+        u = units[seed % len(units)]
+        table.values[u] = table.values[u] + random_complex(rng, (n, n))
+        assert np.array_equal(evaluate(table, a), oracle_evaluate(table, a))
+
     def test_on_chain_projection(self, rng):
         alg = NestAlgebra.triangular(4)
         table = inner_from(alg, random_complex(rng, (4, 4)))
@@ -255,6 +334,23 @@ class TestNormEstimate:
         # a = E_12 gives delta(a) = E_22 - E_11 of norm 1
         assert est.lower >= 1.0 - 1e-9
         assert est.lower <= est.upper + 1e-9
+
+    @given(norm_tables(), st.sampled_from([1, 4, 32]), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_sequential_oracle(self, table, samples, seed):
+        n = table.alg.n
+        rng = np.random.default_rng(seed)
+        c = random_complex(rng, (n, n))
+        est = norm_estimate(table, samples=samples, seed=seed, generator=c)
+        assert est.lower == oracle_norm_estimate(table, samples=samples, seed=seed)
+        assert est.upper == 2.0 * distance_to_scalars(c)[1]
+        if not any(v.any() for v in table.values.values()):
+            assert est.lower == 0.0
+        # a table changed in place between calls is read afresh
+        units = table.alg.basis_units()
+        u = units[seed % len(units)]
+        table.values[u] = table.values[u] + random_complex(rng, (n, n))
+        assert norm_estimate(table, samples=samples, seed=seed).lower == oracle_norm_estimate(table, samples=samples, seed=seed)
 
     def test_lower_below_upper(self, rng):
         for n in (3, 5):
