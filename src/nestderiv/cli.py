@@ -7,7 +7,9 @@ Subcommands:
   chain      per-level chain family, normalization, and stabilized operator
 
 Exit codes: 0 success, 1 validation failure, 2 config error, 3 I/O error.
-All output is deterministic JSON for fixed (config, seed).
+All output is deterministic JSON for fixed (config, seed).  generate refuses,
+as a config error, a table whose values would take more than
+MAX_TABLE_BYTES in memory (256 MiB: T_64 takes 136 MB, T_80 332 MB).
 """
 
 import argparse
@@ -35,6 +37,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
+
+# in-memory bytes of table values (units * n^2 complex entries) above which generate refuses
+MAX_TABLE_BYTES = 1 << 28
 
 
 class ConfigError(ValueError):
@@ -90,8 +95,12 @@ def _load_table(path: str) -> DerivationTable:
         raise ConfigError(f"bad derivation table {path}: {exc}") from exc
 
 
-def _load_validated(args) -> DerivationTable:
-    """The --input table with --tol applied, raising TableRejected unless it validates."""
+def _load_validated(args) -> tuple[DerivationTable, float]:
+    """The --input table with --tol applied and its scaled tolerance, raising TableRejected unless it validates.
+
+    The scaled tolerance, table.tol * table.value_scale, is verify's default,
+    so it is passed on rather than computed again.
+    """
     table = _load_table(args.input)
     if args.tol is not None:
         table.tol = args.tol
@@ -103,7 +112,7 @@ def _load_validated(args) -> DerivationTable:
             f"max residual {report.max_residual:.3e} at {u} x {v} "
             f"over {len(report.failing_pairs)} pairs (tol {report.tol:.3e}); first failing: {first}"
         )
-    return table
+    return table, report.tol
 
 
 def _load_matrix(path: str, n: int, what: str) -> np.ndarray:
@@ -132,11 +141,27 @@ def _choices_from_args(args, alg: NestAlgebra) -> ConstructionChoices:
     return ConstructionChoices(k=base.k, xi0=xi0, eta1=eta1)
 
 
+def _check_table_size(n: int, units: int):
+    """ConfigError when units values of n x n complex entries would take more than MAX_TABLE_BYTES."""
+    size = units * n * n * 16
+    if size > MAX_TABLE_BYTES:
+        raise ConfigError(f"a table for n={n} would hold {size} bytes of values, above the limit of {MAX_TABLE_BYTES}")
+
+
+def _unit_count(alg: NestAlgebra) -> int:
+    """len(alg.basis_units()) from the chain alone: segment k, of d_k - d_(k-1) rows, is admissible in n - d_(k-1) columns."""
+    starts = (0, *alg.chain[:-1])
+    return sum((d - start) * (alg.n - start) for start, d in zip(starts, alg.chain))
+
+
 def cmd_generate(args) -> int:
+    # every chain admits at least the n(n+1)/2 units of T_n: checked before the default chain 1..n is built
+    _check_table_size(args.n, args.n * (args.n + 1) // 2)
     try:
         alg = NestAlgebra(args.n, _parse_chain(args, args.n))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    _check_table_size(alg.n, _unit_count(alg))
     if args.zero:
         c = np.zeros((alg.n, alg.n), dtype=complex)
     else:
@@ -153,12 +178,12 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _verify_and_write(args, table: DerivationTable, artifacts: ConstructionArtifacts, extra: dict) -> int:
-    """Verify artifacts, write the report plus extra to --out, and gate the exit code on the theorems."""
+def _verify_and_write(args, table: DerivationTable, tol: float, artifacts: ConstructionArtifacts, extra: dict) -> int:
+    """Verify artifacts at tol, write the report plus extra to --out, and gate the exit code on the theorems."""
     generator = None
     if args.generator:
         generator = _load_matrix(args.generator, table.alg.n, "generator")
-    verification = verify(table, artifacts, generator=generator, norm_seed=args.seed)
+    verification = verify(table, artifacts, tol=tol, generator=generator, norm_seed=args.seed)
     _write_json(args.out, {**verification.to_json(), **extra})
     print(f"wrote {args.out}")
     ok = verification.thm11_ok and verification.thm12_ok
@@ -168,17 +193,17 @@ def _verify_and_write(args, table: DerivationTable, artifacts: ConstructionArtif
 
 
 def cmd_construct(args) -> int:
-    table = _load_validated(args)
+    table, tol = _load_validated(args)
     try:
         choices = _choices_from_args(args, table.alg)
         artifacts = build_b(table, choices)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return _verify_and_write(args, table, artifacts, {"artifacts": artifacts_to_json(artifacts)})
+    return _verify_and_write(args, table, tol, artifacts, {"artifacts": artifacts_to_json(artifacts)})
 
 
 def cmd_verify(args) -> int:
-    table = _load_validated(args)
+    table, tol = _load_validated(args)
     try:
         choices = _choices_from_args(args, table.alg)
     except ValueError as exc:
@@ -187,11 +212,11 @@ def cmd_verify(args) -> int:
     zero = np.zeros_like(b)
     # supplied b stands in for every stage; components are not re-derived
     artifacts = ConstructionArtifacts(b1=b, c1=zero, b2=b, c2=zero, b=b, choices=choices)
-    return _verify_and_write(args, table, artifacts, {})
+    return _verify_and_write(args, table, tol, artifacts, {})
 
 
 def cmd_chain(args) -> int:
-    table = _load_validated(args)
+    table, _ = _load_validated(args)
     try:
         family = chain_family(table)
     except ValueError as exc:

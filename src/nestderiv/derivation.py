@@ -24,7 +24,14 @@ from .linalg import (
 # complex entries per batch of full residuals in validate
 _CHUNK_ENTRIES = 1 << 20
 
-# backstop on the cuts of distance_to_scalars: ~110 reach its gap at a smooth minimum, ~220 at a kink
+# bytes of terms per np.add.reduce in _image
+_IMAGE_BYTES = 1 << 18
+
+# SVDs the Newton iteration of distance_to_scalars may spend before it falls back: ~4 certify a smooth minimum,
+# and with the final op_norm a certified call takes at most 12
+_NEWTON_SVDS = 11
+
+# backstop on the cuts of the fallback ellipsoid method: ~110 reach its gap at a smooth minimum, ~220 at a kink
 _MAX_CUTS = 500
 
 
@@ -244,6 +251,25 @@ def _combine(coeffs: np.ndarray, values, n: int) -> np.ndarray:
     return out
 
 
+def _image(coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum over u of coeffs[u] * values[u] for one row of coefficients, with _combine's bits.
+
+    Each chunk of terms goes to one np.add.reduce with the running sum as its
+    first row, the first chunk's being zeros, so the terms are still added onto
+    zeros one unit at a time in the order of values.
+    """
+    n = values.shape[1]
+    step = max(1, _IMAGE_BYTES // (16 * n * n))
+    total = np.zeros((n, n), dtype=complex)
+    for start in range(0, len(values), step):
+        stop = min(start + step, len(values))
+        terms = np.empty((stop - start + 1, n, n), dtype=complex)
+        terms[0] = total
+        np.multiply(coeffs[start:stop, None, None], values[start:stop], out=terms[1:])
+        total = np.add.reduce(terms, axis=0)
+    return total
+
+
 def evaluate(table: DerivationTable, a) -> np.ndarray:
     """delta(a) = sum over admissible units of a_ij * delta(E_ij), the nonzero a_ij in basis order.
 
@@ -262,21 +288,91 @@ def evaluate(table: DerivationTable, a) -> np.ndarray:
     return _combine(a[None, rows, cols], values, alg.n)[0]
 
 
-def distance_to_scalars(c):
-    """min over lam of op_norm(c - lam I), by a central-cut ellipsoid method on lam = x + iy.
+def _dual_bound(a, x) -> float:
+    """|(a - mu I) x| with mu = x^H a x, for a unit vector x: a lower bound on min over lam of op_norm(a - lam I).
 
-    f(lam) = op_norm(c - lam I) is convex.  With (u, v) the top singular pair
-    of c - lam I and z = -v^H u, g = (Re z, Im z) is a subgradient.  The first
-    ellipse {x : (x - centre)^T P^-1 (x - centre) <= 1} is the disk of radius
-    2 f(trace(c)/n) about trace(c)/n, which holds every minimizer by the
-    triangle inequality, and a cut through the centre keeps them all.  So
-    sqrt(g^T P g) bounds f(centre) - min f, and the loop stops once that gap
-    is at most 1e-12 * max(1, f(centre)).  Returns (lam, distance): the best
-    lam visited and op_norm(c - lam I), within that gap of the minimum.
+    mu minimizes |(a - lam I) x| over lam, and |(a - lam I) x| is at most
+    op_norm(a - lam I).  The bound is the same for a and every shift a - lam I.
     """
-    c = _as_matrix(c)
+    r = a @ x
+    return float(np.linalg.norm(r - (x.conj() @ r) * x))
+
+
+def _newton_step(u, s, vh):
+    """The Newton step on lam for f(lam) = sigma_1(c - lam I), from c - lam I = U S V^H, or None.
+
+    With w = U^H v_1 and w' = V^H u_1, the gradient in (Re lam, Im lam) is
+    (-Re w_1, Im w_1).  The Hessian is second-order perturbation of the top
+    eigenvalue of the Hermitian dilation [[0, c - lam I], [(c - lam I)^H, 0]],
+    whose eigenpairs are +-sigma_j, (u_j; +-v_j)/sqrt(2): H_pq = 2 sum over
+    (j, s) != (1, +) of Re(conj(h_p) h_q) / (sigma_1 - s sigma_j), with
+    h_x = -(w_j + s w'_j)/2 and h_y = -i (w_j - s w'_j)/2.  The step is cut
+    to length sigma_1 - sigma_2: each singular value moves by at most |step|
+    (Weyl), so that is the scale on which sigma_1 stays simple and the
+    quadratic model can hold.  None at a kink (sigma_1 - sigma_2 at rounding
+    level, as for a normal c), at a singular Hessian and at a non-finite step.
+    """
+    if len(s) == 1 or s[0] - s[1] <= 1e-13 * s[0]:
+        return None
+    sign = np.array([[1.0], [-1.0]])
+    w, w_adj = u.conj().T @ vh[0].conj(), vh @ u[:, 0]
+    h = np.stack([-(w + sign * w_adj), -1j * (w - sign * w_adj)]) / 2.0
+    spread = s[0] - sign * s
+    spread[0, 0] = np.inf  # the (1, +) term is the top eigenvalue itself
+    hessian = 2.0 * np.einsum("pjk,qjk->pq", h.conj(), h / spread).real
+    det = hessian[0, 0] * hessian[1, 1] - hessian[0, 1] ** 2
+    if not det > 1e-14 * np.trace(hessian) ** 2:
+        return None
+    step = complex(*np.linalg.solve(hessian, [w[0].real, -w[0].imag]))
+    if not np.isfinite(step):
+        return None
+    reach = s[0] - s[1]
+    return step if abs(step) <= reach else step * (reach / abs(step))
+
+
+def _newton_min(c, eye):
+    """A lam with op_norm(c - lam I) certified within 1e-12 * max(1, f) of the minimum, or None.
+
+    Damped Newton from trace(c)/n: each _newton_step is halved until
+    f(lam) = op_norm(c - lam I) decreases.  The top right singular vector of
+    every SVD taken gives a _dual_bound, and the iteration stops once f at the
+    current lam is within the gap of the best of them.  None (fall back) when
+    _newton_step has no step or _NEWTON_SVDS SVDs are spent.
+    """
+    lam = complex(np.trace(c) / c.shape[0])
+    shifted = c - lam * eye
+    u, s, vh = np.linalg.svd(shifted)
+    lower = _dual_bound(shifted, vh[0].conj())
+    step, svds = None, 1
+    while s[0] - lower > 1e-12 * max(1.0, s[0]):
+        if step is None:
+            step = _newton_step(u, s, vh)
+        if step is None or svds == _NEWTON_SVDS:
+            return None
+        trial = lam + step
+        shifted = c - trial * eye
+        u_t, s_t, vh_t = np.linalg.svd(shifted)
+        svds += 1
+        lower = max(lower, _dual_bound(shifted, vh_t[0].conj()))
+        if s_t[0] < s[0]:
+            lam, u, s, vh, step = trial, u_t, s_t, vh_t, None
+        else:
+            step /= 2.0
+    return lam
+
+
+def _ellipsoid_min(c, eye):
+    """A lam with op_norm(c - lam I) within 1e-12 * max(1, f) of the minimum, by central cuts on lam = x + iy.
+
+    With (u, v) the top singular pair of c - lam I and z = -v^H u,
+    g = (Re z, Im z) is a subgradient of the convex f(lam) = op_norm(c - lam I).
+    The first ellipse {x : (x - centre)^T P^-1 (x - centre) <= 1} is the disk
+    of radius 2 f(trace(c)/n) about trace(c)/n, which holds every minimizer by
+    the triangle inequality, and a cut through the centre keeps them all.  So
+    sqrt(g^T P g) bounds f(centre) - min f, and the loop stops once that gap
+    is at most 1e-12 * max(1, f(centre)).  Returns the best lam visited.
+    """
     n = c.shape[0]
-    eye = np.eye(n)
     lam = complex(np.trace(c) / n)
     best = op_norm(c - lam * eye)
     centre = np.array([lam.real, lam.imag])
@@ -293,6 +389,26 @@ def distance_to_scalars(c):
         pg = P @ g / np.sqrt(gpg)
         centre = centre - pg / 3.0
         P = 4.0 / 3.0 * (P - 2.0 / 3.0 * np.outer(pg, pg))
+    return lam
+
+
+def distance_to_scalars(c):
+    """(lam, op_norm(c - lam I)) within 1e-12 * max(1, distance) of min over lam of op_norm(c - lam I).
+
+    A damped Newton iteration on lam (_newton_min) runs first and stops only
+    when a dual lower bound certifies the gap: for a unit vector x and
+    mu = x^H c x, op_norm((c - mu I) x) is at most the distance, and it equals
+    it at the top right singular vector of a smooth minimum.  That takes about
+    4 SVDs.  Where the minimum is a kink (a normal c), or the iteration
+    otherwise fails to certify within _NEWTON_SVDS SVDs, the central-cut
+    ellipsoid method (_ellipsoid_min) answers instead, with its own
+    certificate, at about 110 SVDs (about 220 at a kink).
+    """
+    c = _as_matrix(c)
+    eye = np.eye(c.shape[0])
+    lam = _newton_min(c, eye)
+    if lam is None:
+        lam = _ellipsoid_min(c, eye)
     return lam, op_norm(c - lam * eye)
 
 
@@ -300,13 +416,17 @@ def norm_estimate(table: DerivationTable, samples: int = 32, seed: int = 0, gene
     """Bounds on the derivation norm over the unit ball of the algebra.
 
     lower: best sampled op_norm(delta(a)) over unit-norm a in the algebra,
-    refined by a short random local ascent.  upper (when the inner generator
+    refined by a short random local ascent, whose delta(a) each take one
+    reduction per chunk of units (_image).  upper (when the inner generator
     c is known): 2 * min over lam of op_norm(c - lam I), valid because the
     restricted norm is at most the norm of d_c on all of B(H), which is
     exactly that (Stampfli).  It is 2 op_norm(c - lam I) at the lam found by
     distance_to_scalars, so, to rounding, it is never below the norm of d_c
     on B(H) and exceeds it by at most the certified gap
-    2e-12 * max(1, dist(c, C I)).
+    2e-12 * max(1, dist(c, C I)).  The certificate is a dual lower bound,
+    |(c - mu I) x| with mu = x^H c x for unit x, met by a Newton iteration in
+    about 4 SVDs; a kink (a normal c) falls back to the ellipsoid method's
+    own certificate.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -338,7 +458,7 @@ def norm_estimate(table: DerivationTable, samples: int = 32, seed: int = 0, gene
                 continue
             cand = cand / norm
             # cand lies in the pattern by construction, so it needs no domain check
-            val = op_norm(_combine(cand[None, ui, uj], values, n)[0])
+            val = op_norm(_image(cand[ui, uj], values))
             if val > lower:
                 lower, best_a = val, cand
             else:

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from nestderiv.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
+from nestderiv import cli
+from nestderiv.algebra import NestAlgebra
+from nestderiv.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, MAX_TABLE_BYTES, main
 from nestderiv.derivation import DerivationTable, validate
 from nestderiv.linalg import matrix_from_json, matrix_to_json
 
@@ -35,6 +37,55 @@ def test_generate_invalid_chain_is_config_error(tmp_path):
     code = main(["generate", "--n", "3", "--chain", "3,2", "--out", str(out)])
     assert code == EXIT_CONFIG
     assert not out.exists()
+
+
+def test_generate_refuses_oversized_table_before_allocating(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("called before the size check")
+
+    monkeypatch.setattr(NestAlgebra, "basis_units", refuse)
+    out = tmp_path / "huge.json"
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        # not even the default chain 1..n is built
+        patch.setattr(cli, "_parse_chain", refuse)
+        assert main(["generate", "--n", "2000", "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: a table for n=2000 ")
+    # a coarse chain has more units than T_n: T_64 fits, the single block of 65 does not
+    assert main(["generate", "--n", "65", "--chain", "65", "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_table_size_guard_counts_units_exactly():
+    for alg in (NestAlgebra.triangular(4), NestAlgebra.triangular(16), NestAlgebra(12, (3, 7, 12)), NestAlgebra(5, (5,))):
+        assert cli._unit_count(alg) == len(alg.basis_units())
+    # the README's sizes, T_4 to T_32, and T_64 stay under the limit
+    for n in (4, 16, 32, 64):
+        assert cli._unit_count(NestAlgebra.triangular(n)) * n * n * 16 <= MAX_TABLE_BYTES
+
+
+def test_generate_t16_unaffected_by_size_guard(tmp_path):
+    out = tmp_path / "t16.json"
+    assert main(["generate", "--n", "16", "--seed", "1", "--out", str(out)]) == EXIT_OK
+    assert len(DerivationTable.from_json(read(out)).values) == 16 * 17 // 2
+
+
+@pytest.mark.parametrize("command", ["construct", "verify"])
+def test_value_scale_computed_once_per_call(tmp_path, monkeypatch, command):
+    table_path = tmp_path / "table.json"
+    report_path = tmp_path / "report.json"
+    main(["generate", "--n", "4", "--seed", "6", "--out", str(table_path)])
+    main(["construct", "--input", str(table_path), "--out", str(report_path)])
+    b_path = tmp_path / "b.json"
+    b_path.write_text(json.dumps(read(report_path)["artifacts"]["b"]))
+    calls = []
+    scale = DerivationTable.value_scale.fget
+    monkeypatch.setattr(DerivationTable, "value_scale", property(lambda self: calls.append(1) or scale(self)))
+    args = [command, "--input", str(table_path), "--generator", str(table_path) + ".generator.json"]
+    if command == "verify":
+        args += ["--b", str(b_path)]
+    assert main([*args, "--out", str(tmp_path / "out.json")]) == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_construct_end_to_end(tmp_path):

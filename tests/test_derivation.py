@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nestderiv import derivation
 from nestderiv.algebra import NestAlgebra
 from nestderiv.derivation import (
     DerivationTable,
@@ -404,6 +405,96 @@ class TestDistanceToScalars:
         assert dist <= best + 1e-12 * max(1.0, best)
         assert dist >= best - 1e-9 * max(1.0, best)
         assert op_norm(c - lam * np.eye(n)) == dist
+
+
+class TestStampfliCertificate:
+    """distance_to_scalars' Newton iteration, its dual lower bound and its ellipsoid fallback."""
+
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=-3.0, max_value=3.0),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_dual_bound_below_every_shift(self, n, seed, log_scale):
+        rng = np.random.default_rng(seed)
+        c = 10.0**log_scale * random_complex(rng, (n, n))
+        x = random_complex(rng, n)
+        x /= np.linalg.norm(x)
+        lam = 10.0**log_scale * complex(*rng.standard_normal(2))
+        bound = derivation._dual_bound(c, x)
+        assert bound <= op_norm(c - lam * np.eye(n)) * (1 + 1e-12)
+        assert bound == pytest.approx(derivation._dual_bound(c - lam * np.eye(n), x), rel=1e-9, abs=1e-12 * 10.0**log_scale)
+
+    def test_gaussian_c_certified_in_few_svds(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        svd = np.linalg.svd
+        calls = []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        for trial in range(40):
+            n = 2 + trial % 11
+            calls.clear()
+            distance_to_scalars(random_complex(rng, (n, n)))
+            assert len(calls) <= 12, (n, len(calls))
+
+    def test_normal_c_falls_back_to_ellipsoid(self, rng, monkeypatch):
+        ellipsoid = derivation._ellipsoid_min
+        calls = []
+        monkeypatch.setattr(derivation, "_ellipsoid_min", lambda c, eye: calls.append(1) or ellipsoid(c, eye))
+        for n in range(2, 9):
+            z = random_complex(rng, n)
+            q, _ = np.linalg.qr(random_complex(rng, (n, n)))
+            calls.clear()
+            _, dist = distance_to_scalars(q @ np.diag(z) @ q.conj().T)
+            assert calls == [1]
+            radius = oracle_enclosing_disk_radius(z)
+            assert abs(dist - radius) <= 1e-10 * max(1.0, radius)
+
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=-6.0, max_value=6.0),
+        st.sampled_from(["complex", "real", "triangular"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_never_above_ellipsoid_by_more_than_the_gap(self, n, seed, log_scale, kind):
+        c = 10.0**log_scale * random_complex(np.random.default_rng(seed), (n, n))
+        if kind == "real":
+            c = c.real.astype(complex)
+        elif kind == "triangular":
+            c = np.triu(c)
+        eye = np.eye(n)
+        _, dist = distance_to_scalars(c)
+        ellipsoid = op_norm(c - derivation._ellipsoid_min(c, eye) * eye)
+        assert dist <= ellipsoid + 1e-12 * max(1.0, dist)
+
+
+@given(norm_tables(), st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([None, 1, 2, 5]))
+@settings(max_examples=60, deadline=None)
+def test_image_has_the_bits_of_the_per_unit_sum(table, seed, chunk_units):
+    """Bit for bit, signs of zero included, also when the units span several reductions."""
+    alg = table.alg
+    if chunk_units is not None:
+        derivation._IMAGE_BYTES, saved = chunk_units * 16 * alg.n**2, derivation._IMAGE_BYTES
+    rng = np.random.default_rng(seed)
+    a = random_complex(rng, (alg.n, alg.n))
+    a[rng.random((alg.n, alg.n)) < 0.3] = 0.0
+    ui, uj = np.array(alg.basis_units()).T
+    values = table.stacked()
+    try:
+        got = derivation._image(a[ui, uj], values)
+    finally:
+        if chunk_units is not None:
+            derivation._IMAGE_BYTES = saved
+    assert got.tobytes() == derivation._combine(a[None, ui, uj], values, alg.n)[0].tobytes()
+
+
+def test_image_sums_onto_positive_zeros():
+    # -1 * (0 + 0j) has real part -0.0; added onto +0.0, as the per-unit sum does, it gives +0.0
+    coeffs, values = np.array([-1.0 + 0j, -2.0 + 0j]), np.zeros((2, 1, 1), dtype=complex)
+    got = derivation._image(coeffs, values)
+    assert got.tobytes() == derivation._combine(coeffs[None], values, 1)[0].tobytes()
+    assert math.copysign(1.0, got[0, 0].real) == 1.0
 
 
 def test_json_roundtrip(rng):
