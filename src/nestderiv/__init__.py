@@ -2,7 +2,7 @@
 
 from .linalg import rank_one, adjoint, op_norm, scalar_identity_part
 from .algebra import NestAlgebra, MatrixUnit, check_structure
-from .derivation import DerivationTable, inner_from, validate, evaluate, norm_estimate
+from .derivation import DerivationTable, inner_from, validate, evaluate, rank_one_images, norm_estimate
 from .construct import (
     ConstructionChoices,
     ConstructionArtifacts,
@@ -29,6 +29,7 @@ __all__ = [
     "inner_from",
     "validate",
     "evaluate",
+    "rank_one_images",
     "norm_estimate",
     "ConstructionChoices",
     "ConstructionArtifacts",

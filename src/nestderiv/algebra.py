@@ -94,9 +94,12 @@ class NestAlgebra:
         return p
 
     def basis_units(self) -> list:
-        """All admissible matrix units in lexicographic order."""
-        mask = self.pattern_mask()
-        return [MatrixUnit(i, j) for i in range(self.n) for j in range(self.n) if mask[i, j]]
+        """All admissible matrix units in lexicographic order, as a new list."""
+        return list(_basis(self)[0])
+
+    def unit_index(self) -> tuple:
+        """(ui, uj): row and column indices of the basis units in basis order, read-only and built once per chain."""
+        return _basis(self)[1]
 
     def unit_matrix(self, u: MatrixUnit) -> np.ndarray:
         e = np.zeros((self.n, self.n), dtype=complex)
@@ -110,6 +113,15 @@ def _pattern_mask(alg: NestAlgebra) -> np.ndarray:
     mask = blocks[:, None] <= blocks[None, :]
     mask.setflags(write=False)
     return mask
+
+
+@functools.lru_cache(maxsize=256)
+def _basis(alg: NestAlgebra) -> tuple:
+    """The basis units as a tuple and their read-only (ui, uj) index arrays."""
+    ui, uj = np.nonzero(alg.pattern_mask())
+    ui.setflags(write=False)
+    uj.setflags(write=False)
+    return tuple(MatrixUnit(i, j) for i, j in zip(ui.tolist(), uj.tolist())), (ui, uj)
 
 
 @dataclass
@@ -140,7 +152,7 @@ def _commutant_nullity(alg: NestAlgebra, tol: float):
     and right singular vectors; the left ones are never formed.
     """
     n = alg.n
-    ui, uj = np.array(alg.basis_units()).T
+    ui, uj = alg.unit_index()
     units = np.arange(len(ui))[:, None]
     coords = np.arange(n)[None, :]
     # system[u, s, r, q, p] is the coefficient of x[p, q] in entry (r, s) of x E_ij - E_ij x for u = E_ij,

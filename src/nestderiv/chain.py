@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import NestAlgebra
-from .construct import ConstructionChoices, build_b1, default_choices
+from .construct import ConstructionChoices, _b1_family, default_choices
 from .derivation import DerivationTable, commutator_residuals
-from .linalg import matrix_to_json, scalar_identity_part
+from .linalg import matrix_to_json
 
 
 @dataclass
@@ -45,12 +45,20 @@ class ChainFamily:
 
 
 def _pairwise_scalars(alg: NestAlgebra, members: list) -> dict:
-    """(k_a, k_b) -> scalar part of b_a - b_b compressed to range(p_a), for members in increasing k."""
+    """(k_a, k_b) -> scalar part of b_a - b_b compressed to range(p_a), for members in increasing k.
+
+    The differences of b_a with every later member are split by one batched
+    trace and one batched SVD, each difference as scalar_identity_part splits it.
+    """
     lambdas = {}
-    for ia, ma in enumerate(members):
+    for ia, ma in enumerate(members[:-1]):
         d = alg.chain[ma.k - 1]
-        for mb in members[ia + 1 :]:
-            lambdas[(ma.k, mb.k)] = scalar_identity_part((ma.b - mb.b)[:d, :d])
+        later = members[ia + 1 :]
+        diffs = ma.b[:d, :d] - np.stack([mb.b[:d, :d] for mb in later])
+        lams = np.trace(diffs, axis1=1, axis2=2) / d
+        residuals = np.linalg.svd(diffs - lams[:, None, None] * np.eye(d), compute_uv=False).max(axis=1)
+        for mb, lam, residual in zip(later, lams.tolist(), residuals.tolist()):
+            lambdas[(ma.k, mb.k)] = (lam, residual)
     return lambdas
 
 
@@ -59,10 +67,9 @@ def chain_family(table: DerivationTable) -> ChainFamily:
     alg = table.alg
     if not alg.interior_levels:
         raise ValueError("irreducible model: construction inapplicable (chain has no interior projection)")
-    members = []
-    for k in alg.interior_levels:
-        choices = default_choices(alg, k)
-        members.append(ChainMember(k=k, b=build_b1(table, choices), choices=choices))
+    choices = [default_choices(alg, k) for k in alg.interior_levels]
+    family = _b1_family(table, [(alg.chain[c.k - 1], c.xi0) for c in choices])
+    members = [ChainMember(k=c.k, b=b, choices=c) for c, b in zip(choices, family)]
     return ChainFamily(alg=alg, members=members, lambdas=_pairwise_scalars(alg, members))
 
 

@@ -13,17 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import NestAlgebra
-from .derivation import DerivationTable, NormEstimate, commutator_residuals, evaluate, norm_estimate
-from .linalg import (
-    _as_matrix,
-    _as_vector,
-    adjoint,
-    basis_vector,
-    matrix_to_json,
-    op_norm,
-    rank_one,
-    scalar_identity_part,
+from .derivation import (
+    DerivationTable,
+    NormEstimate,
+    commutator_residuals,
+    evaluate,
+    norm_estimate,
+    rank_one_images,
 )
+from .linalg import _as_matrix, _as_vector, basis_vector, matrix_to_json, op_norm, scalar_identity_part
 
 
 @dataclass(frozen=True)
@@ -124,19 +122,33 @@ def default_choices(alg: NestAlgebra, k: int | None = None) -> ConstructionChoic
 def build_b1(table: DerivationTable, choices: ConstructionChoices) -> np.ndarray:
     """Column-by-column assembly of the p-side implementer.
 
-    For each basis vector eta of p, the rank-one a = xi0 (x) eta lies in the
-    algebra, carries xi0 to eta, and equals a p0 for p0 = xi0 (x) xi0; the
-    column of b1 at eta is delta(a p0) xi0.  Columns in p-perp are zero.
+    For each basis vector eta of p, the rank-one a = xi0 (x) eta = eta xi0^H
+    lies in the algebra, carries xi0 to eta, and equals a p0 for
+    p0 = xi0 (x) xi0; the column of b1 at eta is delta(a) xi0.  Columns in
+    p-perp are zero.
     """
-    alg = table.alg
-    d = choices.validate(alg)
-    xi0 = _as_vector(choices.xi0)
-    p0 = rank_one(xi0, xi0)
-    b1 = np.zeros((alg.n, alg.n), dtype=complex)
-    for i in range(d):
-        a = rank_one(xi0, basis_vector(alg.n, i)) @ p0
-        b1[:, i] = evaluate(table, a) @ xi0
-    return b1
+    d = choices.validate(table.alg)
+    return _b1_family(table, [(d, _as_vector(choices.xi0))])[0]
+
+
+def _b1_family(table: DerivationTable, levels: list) -> list:
+    """build_b1 for each (d, xi0) in levels, xi0 a unit vector in p-perp for p of rank d, unchecked.
+
+    The images delta(e_i xi0^H) of every level come from one rank_one_images
+    call; b1 has delta(e_i xi0^H) xi0 in column i < d.
+    """
+    n = table.alg.n
+    eye = np.eye(n)
+    etas = np.vstack([eye[:d] for d, _ in levels])
+    xis = np.vstack([np.tile(xi0, (d, 1)) for d, xi0 in levels])
+    images = rank_one_images(table, etas, xis)
+    family, start = [], 0
+    for d, xi0 in levels:
+        b1 = np.zeros((n, n), dtype=complex)
+        b1[:, :d] = (images[start : start + d] @ xi0).T
+        family.append(b1)
+        start += d
+    return family
 
 
 def build_c1(table: DerivationTable, choices: ConstructionChoices) -> np.ndarray:
@@ -153,30 +165,26 @@ def build_c2(table: DerivationTable, choices: ConstructionChoices, basis=None) -
 
     For each basis vector xi_a of p-perp, with q_a = xi_a (x) eta1 and
     q1 = xi0 (x) eta1, the row block of c2 at xi_a is
-    -q_a* delta(q_a) p-perp + q_a* delta(q1) q1* q_a.  The result is
-    independent of the basis (that is the linearity lemma, tested separately).
+    -q_a* delta(q_a) p-perp + q_a* delta(q1) q1* q_a
+    = xi_a (x) (-eta1^H delta(q_a) p-perp + s xi_a^H), s = eta1^H delta(q1) xi0.
+    delta(q_a) for every a and delta(q1) come from one rank_one_images call.
+    The result is independent of the basis (that is the linearity lemma,
+    tested separately).
     """
     alg = table.alg
     d = choices.validate(alg)
     n = alg.n
     xi0 = _as_vector(choices.xi0)
     eta1 = _as_vector(choices.eta1)
-    p = alg.lattice_projection(choices.k)
-    pperp = np.eye(n) - p
+    basis = np.eye(n)[d:] if basis is None else np.array([_as_vector(xi) for xi in basis])
 
-    if basis is None:
-        basis = [basis_vector(n, a) for a in range(d, n)]
-
-    q1 = rank_one(xi0, eta1)
-    dq1 = evaluate(table, q1)
-    c2 = np.zeros((n, n), dtype=complex)
-    for xi in basis:
-        xi = _as_vector(xi)
-        p_xi = rank_one(xi, xi)
-        q = rank_one(xi, eta1)
-        qs = adjoint(q)
-        c2 += p_xi @ (-qs @ evaluate(table, q) @ pperp + qs @ dq1 @ adjoint(q1) @ q)
-    return c2
+    images = rank_one_images(table, np.tile(eta1, (len(basis) + 1, 1)), np.vstack([basis, xi0]))
+    s = eta1.conj() @ images[-1] @ xi0
+    rows = -(eta1.conj() @ images[:-1])
+    rows[:, :d] = 0.0
+    rows += s * basis.conj()
+    # added onto zeros, so an entry the product leaves at -0.0 is 0.0, as in a sum of per-vector blocks
+    return np.zeros((n, n), dtype=complex) + basis.T @ rows
 
 
 def build_b(table: DerivationTable, choices: ConstructionChoices) -> ConstructionArtifacts:
@@ -200,33 +208,37 @@ def triple_rule_residual(table: DerivationTable, choices: ConstructionChoices) -
     For q = xi_a (x) eta with xi_a ranging over the basis of p-perp and eta
     over the basis of p, checks
     delta(q) = delta(q q_a* q1) q1* q_a + q q_a* delta(q_a) - q q_a* delta(q1) q1* q_a.
-    Every evaluation argument lies in the algebra; if not, the construction
-    itself is broken and an error propagates.
+    With q = E_ia, q q_a* q1 = e_i xi0^H, so the right side is col_i (the b1
+    column delta(e_i xi0^H) xi0) in column a, plus row_a = eta1^H delta(q_a)
+    in row i, minus s = eta1^H delta(q1) xi0 at (i, a).  It is written onto
+    zeros in that order, and every pair is normed by one batched SVD.  The
+    images come from one rank_one_images call; every argument lies in the
+    algebra, and if not, the construction itself is broken and an error
+    propagates.
     """
     alg = table.alg
     d = choices.validate(alg)
     n = alg.n
     xi0 = _as_vector(choices.xi0)
     eta1 = _as_vector(choices.eta1)
-    q1 = rank_one(xi0, eta1)
-    q1s = adjoint(q1)
-    dq1 = evaluate(table, q1)
+    eye = np.eye(n)
 
-    residuals = []
-    for a in range(d, n):
-        xi_a = basis_vector(n, a)
-        q_a = rank_one(xi_a, eta1)
-        qas = adjoint(q_a)
-        dqa = evaluate(table, q_a)
-        for i in range(d):
-            q = rank_one(xi_a, basis_vector(n, i))
-            rhs = (
-                evaluate(table, q @ qas @ q1) @ q1s @ q_a
-                + q @ qas @ dqa
-                - q @ qas @ dq1 @ q1s @ q_a
-            )
-            residuals.append(evaluate(table, q) - rhs)
-    return RuleResidual(max_residual=float(np.linalg.norm(residuals, 2, axis=(1, 2)).max()))
+    etas = np.vstack([eye[:d], np.tile(eta1, (n - d + 1, 1))])
+    xis = np.vstack([np.tile(xi0, (d, 1)), eye[d:], xi0])
+    images = rank_one_images(table, etas, xis)
+    cols = images[:d] @ xi0
+    rows = eta1.conj() @ images[d:n]
+    s = eta1.conj() @ images[n] @ xi0
+
+    # pairs (a, i), a over p-perp outermost
+    pa, pi = np.repeat(np.arange(d, n), d), np.tile(np.arange(d), n - d)
+    pairs = np.arange(len(pa))
+    rhs = np.zeros((len(pa), n, n), dtype=complex)
+    rhs[pairs, :, pa] = cols[pi]
+    rhs[pairs, pi, :] += rows[pa - d]
+    rhs[pairs, pi, pa] -= s
+    units = np.stack([table.values[u] for u in zip(pi.tolist(), pa.tolist())])
+    return RuleResidual(max_residual=float(np.linalg.norm(units - rhs, 2, axis=(1, 2)).max()))
 
 
 def verify(
@@ -252,11 +264,11 @@ def verify(
     if tol is None:
         tol = table.tol * table.value_scale
 
-    ui, uj = np.array(alg.basis_units()).T
+    ui, uj = alg.unit_index()
     psp = (ui < d) & (uj < d)
     corner = (ui >= d) & (uj >= d)
     residual_b = commutator_residuals(table, artifacts.b)
-    residual_b2 = commutator_residuals(table, artifacts.b2)
+    residual_b2 = commutator_residuals(table, artifacts.b2, units=psp)
     rule = triple_rule_residual(table, choices)
 
     estimate = norms if norms is not None else norm_estimate(table, seed=norm_seed, generator=generator)
@@ -273,7 +285,7 @@ def verify(
         gauge = scalar_identity_part(artifacts.b - _as_matrix(generator))
 
     return VerificationReport(
-        residual_pSp=float(max(residual_b2[psp].max(initial=0.0), residual_b[psp].max(initial=0.0))),
+        residual_pSp=float(max(residual_b2.max(initial=0.0), residual_b[psp].max(initial=0.0))),
         residual_corner=float(residual_b[corner].max(initial=0.0)),
         residual_full=float(residual_b.max()),
         rule_max=rule.max_residual,

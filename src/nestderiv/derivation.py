@@ -27,6 +27,9 @@ _CHUNK_ENTRIES = 1 << 20
 # bytes of terms per np.add.reduce in _image
 _IMAGE_BYTES = 1 << 18
 
+# values normed in the first chunk of value_scale; each further chunk is twice as large
+_SCALE_CHUNK = 8
+
 # SVDs the Newton iteration of distance_to_scalars may spend before it falls back: ~4 certify a smooth minimum,
 # and with the final op_norm a certified call takes at most 12
 _NEWTON_SVDS = 11
@@ -82,8 +85,23 @@ class DerivationTable:
 
     @property
     def value_scale(self) -> float:
-        """1 + max operator norm over the table, the residual scale."""
-        return 1.0 + float(np.linalg.norm(self.stacked(), 2, axis=(1, 2)).max())
+        """1 + max operator norm over the table, the residual scale.
+
+        An operator norm is at most the Frobenius norm F, so the values are
+        normed in descending F order, in chunks of doubling size, until F of
+        the next value, times 1 + 1e-10 for rounding, is below the largest
+        operator norm found.  Every value left over has a smaller norm, so the
+        maximum is the one over all values, to the bit.
+        """
+        values = self.stacked()
+        frobenius = np.linalg.norm(values, axis=(1, 2))
+        order = np.argsort(-frobenius, kind="stable")
+        best, start, step = 0.0, 0, _SCALE_CHUNK
+        while start < len(order) and not frobenius[order[start]] * (1 + 1e-10) < best:
+            chunk = order[start : start + step]
+            best = max(best, float(np.linalg.norm(values[chunk], 2, axis=(1, 2)).max()))
+            start, step = start + step, 2 * step
+        return 1.0 + best
 
     def to_json(self) -> dict:
         entries = [
@@ -147,7 +165,7 @@ def unit_commutators(alg: NestAlgebra, x) -> np.ndarray:
     x = _as_matrix(x)
     if x.shape != (alg.n, alg.n):
         raise DimensionError(f"operator must be {alg.n}x{alg.n}, got {x.shape}")
-    ui, uj = np.array(alg.basis_units()).T
+    ui, uj = alg.unit_index()
     rows = np.arange(len(ui))
     out = np.zeros((len(ui), alg.n, alg.n), dtype=complex)
     out[rows, :, uj] = x[:, ui].T
@@ -155,9 +173,15 @@ def unit_commutators(alg: NestAlgebra, x) -> np.ndarray:
     return out
 
 
-def commutator_residuals(table: DerivationTable, x, p=None) -> np.ndarray:
-    """op_norm(delta(E_ij) - [x, E_ij]) per basis unit, in basis order; times p on the right when given."""
+def commutator_residuals(table: DerivationTable, x, p=None, units=None) -> np.ndarray:
+    """op_norm(delta(E_ij) - [x, E_ij]) per basis unit, in basis order; times p on the right when given.
+
+    units, a boolean mask or index array over the basis units, limits the
+    norms to those units.
+    """
     residual = table.stacked() - unit_commutators(table.alg, x)
+    if units is not None:
+        residual = residual[units]
     if p is not None:
         residual = residual @ p
     return np.linalg.norm(residual, 2, axis=(1, 2))
@@ -193,7 +217,7 @@ def validate(table: DerivationTable) -> ValidationReport:
     n = alg.n
     units = alg.basis_units()
     scaled_tol = table.tol * table.value_scale
-    ui, uj = np.array(units).T
+    ui, uj = alg.unit_index()
     values = table.stacked()
     rows = np.arange(len(units))
     coords = np.arange(n)
@@ -238,16 +262,24 @@ def _combine(coeffs: np.ndarray, values, n: int) -> np.ndarray:
     """sum over u of coeffs[:, u] * values[u]: one n x n sum per row of coeffs.
 
     The terms are added onto zeros one unit at a time, in the order of values,
-    so every row gets the same bits as that row's sum taken alone.
+    each to the rows where its coefficient is nonzero.  A zero coefficient
+    would add a signed zero, which leaves a sum begun at +0.0 as it is, so
+    every row gets the same bits as that row's sum taken alone.
     """
     out = np.zeros((len(coeffs), n, n), dtype=complex)
-    if len(coeffs) == 1:
-        # scalar coefficients: numpy multiplies two one-element complex arrays (n = 1) by a loop that rounds differently
-        columns, acc = coeffs[0], out[0]
-    else:
-        columns, acc = coeffs.T[:, :, None, None], out
-    for column, value in zip(columns, values):
-        acc += column * value
+    if not len(coeffs):
+        return out
+    nonzero = coeffs != 0
+    counts, first = nonzero.sum(axis=0).tolist(), nonzero.argmax(axis=0).tolist()
+    for column, value, count, row in zip(coeffs.T, values, counts, first):
+        if count == 1:
+            # scalar coefficient: numpy multiplies two one-element complex arrays (n = 1) by a loop that rounds differently
+            out[row] += column[row] * value
+        elif count == len(column):
+            out += column[:, None, None] * value
+        elif count:
+            rows = np.flatnonzero(column)
+            out[rows] += column[rows, None, None] * value
     return out
 
 
@@ -286,6 +318,34 @@ def evaluate(table: DerivationTable, a) -> np.ndarray:
     rows, cols = np.nonzero(np.where(mask, a, 0))
     values = [table.values[u] for u in zip(rows.tolist(), cols.tolist())]
     return _combine(a[None, rows, cols], values, alg.n)[0]
+
+
+def rank_one_images(table: DerivationTable, etas, xis) -> np.ndarray:
+    """delta(eta_m xi_m^H) for every row m of etas and xis, as one (rows, n, n) array.
+
+    Row m is bit-identical to evaluate(table, rank_one(xis[m], etas[m])).  The
+    coefficients eta_i conj(xi_j) are formed as np.outer forms them, and one
+    _combine adds the terms of every unit whose coefficient is nonzero in some
+    row, in basis order, onto zeros.  A unit whose coefficient is zero in row m
+    adds a signed zero there, which leaves that row's sum as it is.  An element
+    with an entry below the pattern above tol * max(1, |eta_m| |xi_m|), its
+    operator norm being |eta_m| |xi_m|, raises EvaluationDomainError.
+    """
+    alg = table.alg
+    etas, xis = _as_matrix(etas), _as_matrix(xis)
+    if etas.shape != xis.shape or etas.shape[1] != alg.n:
+        raise DimensionError(f"etas and xis must both be (rows, {alg.n}), got {etas.shape} and {xis.shape}")
+    outer = etas[:, :, None] * xis.conj()[:, None, :]
+    below = np.abs(outer[:, ~alg.pattern_mask()])
+    if np.any(below):
+        bound = table.tol * np.maximum(1.0, np.linalg.norm(etas, axis=1) * np.linalg.norm(xis, axis=1))
+        if np.any(below.max(axis=1) > bound):
+            raise EvaluationDomainError("derivation undefined outside S")
+    ui, uj = alg.unit_index()
+    coeffs = outer[:, ui, uj]
+    live = np.flatnonzero(coeffs.any(axis=0))
+    units = alg.basis_units()
+    return _combine(coeffs[:, live], [table.values[units[u]] for u in live], alg.n)
 
 
 def _dual_bound(a, x) -> float:
@@ -434,7 +494,7 @@ def norm_estimate(table: DerivationTable, samples: int = 32, seed: int = 0, gene
     alg = table.alg
     n = alg.n
     mask = alg.pattern_mask()
-    ui, uj = np.array(alg.basis_units()).T
+    ui, uj = alg.unit_index()
     values = table.stacked()
 
     # the stream order of drawing each sample's real part, then its imaginary part, sample by sample
@@ -449,9 +509,11 @@ def norm_estimate(table: DerivationTable, samples: int = 32, seed: int = 0, gene
     if found[first] > 0:
         lower, best_a = float(found[first]), sample[first]
         step = 0.5
-        for _ in range(40):
-            perturb = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            perturb[~mask] = 0.0
+        # the 40 perturbations in the stream order of drawing each one's real part, then its imaginary part
+        draws = rng.standard_normal((40, 2, n, n))
+        perturbs = draws[:, 0] + 1j * draws[:, 1]
+        perturbs[:, ~mask] = 0.0
+        for perturb in perturbs:
             cand = best_a + step * perturb
             norm = op_norm(cand)
             if norm == 0:

@@ -4,6 +4,11 @@ Everything here expands the commutator d_c(E_ij) = c E_ij - E_ij c entrywise
 from the definition and assembles the expected operators directly from their
 defining formulas, without calling the package's evaluation or construction
 paths.  Inputs are small integer matrices so the arithmetic is exact.
+
+The later oracles are the package's earlier one-element-at-a-time loops
+(validation, evaluation, norm estimate, construction, chain scalars), kept
+as references for the batched paths; the construction loops call
+``evaluate`` as they did.
 """
 
 import itertools
@@ -295,3 +300,69 @@ def oracle_rule_max(table, choices):
             rhs = evaluate(table, q @ qas @ q1) @ q1s @ q_a + q @ qas @ dqa - q @ qas @ dq1 @ q1s @ q_a
             worst = max(worst, float(np.linalg.norm(evaluate(table, q) - rhs, 2)))
     return worst
+
+
+def oracle_build_b1(table, choices):
+    """build_b1 one column at a time: delta(rank_one(xi0, e_i) @ p0) @ xi0 through evaluate, p0 = xi0 xi0^H."""
+    from nestderiv.derivation import evaluate
+
+    n = table.alg.n
+    d = table.alg.chain[choices.k - 1]
+    xi0 = np.asarray(choices.xi0, dtype=complex)
+    p0 = np.outer(xi0, xi0.conj())
+    b1 = np.zeros((n, n), dtype=complex)
+    for i in range(d):
+        a = np.outer(np.eye(n, dtype=complex)[i], xi0.conj()) @ p0
+        b1[:, i] = evaluate(table, a) @ xi0
+    return b1
+
+
+def oracle_build_c2(table, choices, basis=None):
+    """build_c2 one basis vector xi of p-perp at a time, through evaluate and products of rank-one maps.
+
+    With q = eta1 xi^H and q1 = eta1 xi0^H, adds
+    (xi xi^H) (-q^H delta(q) pperp + q^H delta(q1) q1^H q) onto zeros.
+    """
+    from nestderiv.derivation import evaluate
+
+    alg = table.alg
+    n = alg.n
+    d = alg.chain[choices.k - 1]
+    xi0 = np.asarray(choices.xi0, dtype=complex)
+    eta1 = np.asarray(choices.eta1, dtype=complex)
+    pperp = np.eye(n) - alg.lattice_projection(choices.k)
+    if basis is None:
+        basis = np.eye(n, dtype=complex)[d:]
+    q1 = np.outer(eta1, xi0.conj())
+    dq1 = evaluate(table, q1)
+    c2 = np.zeros((n, n), dtype=complex)
+    for xi in basis:
+        xi = np.asarray(xi, dtype=complex)
+        q = np.outer(eta1, xi.conj())
+        qs = q.conj().T
+        c2 += np.outer(xi, xi.conj()) @ (-qs @ evaluate(table, q) @ pperp + qs @ dq1 @ q1.conj().T @ q)
+    return c2
+
+
+def oracle_chain_members(table):
+    """The b1 of every interior level with its default choices, in increasing k, from oracle_build_b1."""
+    from nestderiv.construct import default_choices
+
+    return [oracle_build_b1(table, default_choices(table.alg, k)) for k in table.alg.interior_levels]
+
+
+def oracle_pairwise_scalars(alg, ks, bs):
+    """(k_a, k_b) -> scalar_identity_part of (b_a - b_b) compressed to range(p_a), one pair at a time."""
+    from nestderiv.linalg import scalar_identity_part
+
+    lambdas = {}
+    for ia, (ka, ba) in enumerate(zip(ks, bs)):
+        d = alg.chain[ka - 1]
+        for kb, bb in zip(ks[ia + 1 :], bs[ia + 1 :]):
+            lambdas[(ka, kb)] = scalar_identity_part((ba - bb)[:d, :d])
+    return lambdas
+
+
+def oracle_value_scale(table):
+    """1 + the largest operator norm over every table value, one SVD per value."""
+    return 1.0 + max(float(np.linalg.norm(v, 2)) for v in table.values.values())

@@ -37,6 +37,21 @@ class TestNestAlgebra:
             mask[0, 0] = False
         assert np.array_equal(alg.pattern_mask(), expected)
 
+    @pytest.mark.parametrize("chain", [(1,), (1, 2, 3, 4, 5, 6), (2, 5, 9), (3, 4, 8), (6,)])
+    def test_unit_index_is_cached_and_read_only(self, chain):
+        alg = NestAlgebra(chain[-1], chain)
+        ui, uj = alg.unit_index()
+        units = alg.basis_units()
+        assert [tuple(u) for u in units] == list(zip(ui.tolist(), uj.tolist()))
+        assert all(type(u) is MatrixUnit for u in units)
+        assert NestAlgebra(alg.n, chain).unit_index()[0] is ui
+        for index in (ui, uj):
+            with pytest.raises(ValueError, match="read-only"):
+                index[0] = 1
+        # basis_units still hands out a list of its own
+        units.pop()
+        assert len(alg.basis_units()) == len(ui)
+
     def test_interior_levels(self):
         assert NestAlgebra(3, (3,)).interior_levels == []
         assert NestAlgebra(5, (2, 3, 5)).interior_levels == [1, 2]

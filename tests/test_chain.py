@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nestderiv.algebra import NestAlgebra
 from nestderiv.chain import (
@@ -15,6 +17,7 @@ from nestderiv.derivation import DerivationTable, inner_from, norm_estimate
 from nestderiv.linalg import op_norm, scalar_identity_part
 
 from conftest import random_complex
+from oracles import oracle_chain_members, oracle_pairwise_scalars
 
 
 def zero_table(alg):
@@ -128,3 +131,27 @@ def test_family_json_schema(rng):
     first = obj["family"][0]
     assert set(first) == {"k", "b", "lambdas"}
     assert first["lambdas"][0].keys() == {"beta", "value", "residual"}
+
+
+@given(st.integers(min_value=2, max_value=10), st.data(), st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_family_has_the_bits_of_the_per_level_loops(n, data, seed, mutated):
+    """Members, consistency scalars and normalized scalars against per-level b1 and per-pair scalar parts."""
+    if data.draw(st.booleans()):
+        alg = NestAlgebra.triangular(n)
+    else:
+        interior = data.draw(st.sets(st.integers(min_value=1, max_value=n - 1), min_size=1))
+        alg = NestAlgebra(n, (*sorted(interior), n))
+    rng = np.random.default_rng(seed)
+    table = inner_from(alg, random_complex(rng, (n, n)))
+    if mutated:
+        u = alg.basis_units()[int(rng.integers(len(alg.basis_units())))]
+        table.values[u] = table.values[u] + random_complex(rng, (n, n))
+    family = chain_family(table)
+    ks = [m.k for m in family.members]
+    assert ks == alg.interior_levels
+    expected = oracle_chain_members(table)
+    assert [m.b.tobytes() for m in family.members] == [b.tobytes() for b in expected]
+    assert family.lambdas == oracle_pairwise_scalars(alg, ks, expected)
+    normalized = normalize_chain(family)
+    assert normalized.lambdas == oracle_pairwise_scalars(alg, ks, [m.b for m in normalized.members])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nestderiv.algebra import NestAlgebra
 from nestderiv.construct import (
@@ -13,7 +15,14 @@ from nestderiv.construct import (
     two_projection_b,
     verify,
 )
-from nestderiv.derivation import DerivationTable, inner_from, norm_estimate, validate
+from nestderiv.derivation import (
+    DerivationTable,
+    EvaluationDomainError,
+    commutator_residuals,
+    inner_from,
+    norm_estimate,
+    validate,
+)
 from nestderiv.linalg import op_norm, scalar_identity_part
 
 from conftest import basis_vec, random_complex, unit
@@ -28,7 +37,47 @@ def choices_for(alg, k):
     return ConstructionChoices(k=k, xi0=basis_vec(alg.n, d), eta1=basis_vec(alg.n, 0))
 
 
-from oracles import oracle_b1, oracle_c1, oracle_c2, oracle_rule_max
+from oracles import (
+    oracle_b1,
+    oracle_build_b1,
+    oracle_build_c2,
+    oracle_c1,
+    oracle_c2,
+    oracle_evaluate,
+    oracle_rule_max,
+)
+
+
+@st.composite
+def construction_tables(draw):
+    """(table, generator) on T_n or a random chain with an interior level, n <= 9.
+
+    Tables are inner (Gaussian generator scaled by 10^-3..10^3, or small
+    integers with exact zeros), optionally with one unit mutated, and
+    optionally with every exact zero of a value stored as -0.0.  The generator
+    is None for a mutated table.
+    """
+    n = draw(st.integers(min_value=2, max_value=9))
+    if draw(st.booleans()):
+        alg = NestAlgebra.triangular(n)
+    else:
+        interior = draw(st.sets(st.integers(min_value=1, max_value=n - 1), min_size=1))
+        alg = NestAlgebra(n, (*sorted(interior), n))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        c = (rng.integers(-2, 3, (n, n)) + 1j * rng.integers(-2, 3, (n, n))).astype(complex)
+    else:
+        c = 10.0 ** draw(st.integers(min_value=-3, max_value=3)) * random_complex(rng, (n, n))
+    table = inner_from(alg, c)
+    if draw(st.booleans()):
+        units = alg.basis_units()
+        u = units[draw(st.integers(min_value=0, max_value=len(units) - 1))]
+        table.values[u] = table.values[u] + random_complex(rng, (n, n))
+        c = None
+    if draw(st.booleans()):
+        for u, value in table.values.items():
+            table.values[u] = np.where(value.real == 0, -0.0, value.real) + 1j * np.where(value.imag == 0, -0.0, value.imag)
+    return table, c
 
 # --- worked instances -------------------------------------------------------
 
@@ -279,6 +328,73 @@ class TestTripleRule:
             for xi0, eta1 in [(d, 0), (n - 1, d - 1)]:
                 choices = ConstructionChoices(k=k, xi0=basis_vec(n, xi0), eta1=basis_vec(n, eta1))
                 assert triple_rule_residual(table, choices).max_residual == oracle_rule_max(table, choices)
+
+
+class TestRankOneConstruction:
+    """The construction through rank_one_images against the per-vector evaluate loops it replaced."""
+
+    @given(construction_tables(), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_one_hot_choices_have_the_bits_of_the_loops(self, table_and_c, seed):
+        table, _ = table_and_c
+        alg = table.alg
+        n = alg.n
+        rng = np.random.default_rng(seed)
+        for k in alg.interior_levels:
+            d = alg.chain[k - 1]
+            choices = ConstructionChoices(
+                k=k, xi0=basis_vec(n, int(rng.integers(d, n))), eta1=basis_vec(n, int(rng.integers(d)))
+            )
+            p = alg.lattice_projection(k)
+            b1 = oracle_build_b1(table, choices)
+            c1 = -p @ oracle_evaluate(table, p) @ (np.eye(n) - p)
+            c2 = oracle_build_c2(table, choices)
+            art = build_b(table, choices)
+            assert art.b1.tobytes() == b1.tobytes()
+            assert art.c1.tobytes() == c1.tobytes()
+            assert art.c2.tobytes() == c2.tobytes()
+            assert art.b.tobytes() == ((b1 + c1) + c2).tobytes()
+            rule = oracle_rule_max(table, choices)
+            assert triple_rule_residual(table, choices).max_residual == rule
+            report = verify(table, art)
+            assert report.rule_max == rule
+            # b2 normed on the pSp units only: the same maximum as over the full per-unit array
+            ui, uj = alg.unit_index()
+            psp = (ui < d) & (uj < d)
+            full = max(commutator_residuals(table, art.b2)[psp].max(), commutator_residuals(table, art.b)[psp].max())
+            assert report.residual_pSp == full
+
+    @given(construction_tables(), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_random_unit_choices_match_the_loops(self, table_and_c, seed):
+        table, c = table_and_c
+        alg = table.alg
+        n = alg.n
+        rng = np.random.default_rng(seed)
+        scale = 1.0 + (op_norm(c) if c is not None else table.value_scale)
+        for k in alg.interior_levels:
+            d = alg.chain[k - 1]
+            xi0, eta1 = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+            xi0[d:], eta1[:d] = random_complex(rng, n - d), random_complex(rng, d)
+            choices = ConstructionChoices(k=k, xi0=xi0 / np.linalg.norm(xi0), eta1=eta1 / np.linalg.norm(eta1))
+            basis = np.zeros((n - d, n), dtype=complex)
+            basis[:, d:] = np.linalg.qr(random_complex(rng, (n - d, n - d)))[0].T
+            art = build_b(table, choices)
+            assert op_norm(art.b1 - oracle_build_b1(table, choices)) <= 1e-12 * scale
+            assert op_norm(art.c2 - oracle_build_c2(table, choices)) <= 1e-12 * scale
+            assert op_norm(build_c2(table, choices, basis=basis) - oracle_build_c2(table, choices, basis=basis)) <= 1e-12 * scale
+            assert abs(triple_rule_residual(table, choices).max_residual - oracle_rule_max(table, choices)) <= 1e-12 * scale
+
+    def test_c2_basis_vector_with_a_component_in_p_is_outside_the_domain(self):
+        # q_a = eta1 xi_a^H puts 0.6 at (1, 0), below the pattern of T_4
+        alg = NestAlgebra.triangular(4)
+        table = inner_from(alg, np.arange(16).reshape(4, 4).astype(complex))
+        choices = ConstructionChoices(k=2, xi0=basis_vec(4, 2), eta1=basis_vec(4, 1))
+        basis = [np.array([0.6, 0, 0.8, 0], dtype=complex), basis_vec(4, 3)]
+        with pytest.raises(EvaluationDomainError):
+            build_c2(table, choices, basis=basis)
+        with pytest.raises(EvaluationDomainError):
+            oracle_build_c2(table, choices, basis=basis)
 
 
 class TestVerify:

@@ -15,6 +15,7 @@ from nestderiv.derivation import (
     evaluate,
     inner_from,
     norm_estimate,
+    rank_one_images,
     unit_commutators,
     validate,
 )
@@ -28,6 +29,7 @@ from oracles import (
     oracle_evaluate,
     oracle_norm_estimate,
     oracle_validate,
+    oracle_value_scale,
 )
 
 
@@ -122,6 +124,48 @@ class TestDerivationTable:
                 DerivationTable.from_json({**obj, "entries": entries})
         with pytest.raises(ValueError, match="tol"):
             DerivationTable.from_json({**obj, "tol": 0})
+
+    @given(norm_tables(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_value_scale_matches_every_value_normed(self, table, tied):
+        """The scan in Frobenius order stops early yet returns the maximum over all values, to the bit."""
+        if tied:
+            # the same value under many units: equal Frobenius norms, one of them the maximum
+            units = table.alg.basis_units()
+            for u in units[1:]:
+                table.values[u] = table.values[units[0]].copy()
+        assert table.value_scale == oracle_value_scale(table)
+
+    def test_value_scale_stops_at_the_frobenius_bound(self, rng, monkeypatch):
+        alg = NestAlgebra.triangular(8)
+        table = inner_from(alg, random_complex(rng, (8, 8)))
+        units = alg.basis_units()
+        table.values[units[7]] = 100.0 * table.values[units[7]]
+        normed = []
+        norm = np.linalg.norm
+
+        def counting(a, ord=None, **kwargs):
+            if ord == 2:
+                normed.append(len(a))
+            return norm(a, ord, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting)
+        scale = table.value_scale
+        monkeypatch.undo()
+        assert scale == oracle_value_scale(table)
+        # the first chunk holds the dominant value, and no further chunk is normed
+        assert normed == [derivation._SCALE_CHUNK] and len(units) == 36
+
+    def test_value_scale_reads_past_the_first_chunk(self):
+        # eight values of Frobenius norm 2 and operator norm 1 come first; the maximum, 1.0005, is the ninth
+        alg = NestAlgebra.triangular(4)
+        units = alg.basis_units()
+        values = {u: np.eye(4) for u in units[:8]}
+        values[units[8]] = 1.0005 * unit(4, 0, 0)
+        values[units[9]] = np.zeros((4, 4))
+        table = DerivationTable(alg, values)
+        assert derivation._SCALE_CHUNK == 8
+        assert table.value_scale == oracle_value_scale(table) == 1.0 + 1.0005
 
     def test_values_stored_in_basis_order(self, rng):
         alg = NestAlgebra(5, (2, 3, 5))
@@ -275,6 +319,68 @@ class TestEvaluate:
         u = units[seed % len(units)]
         table.values[u] = table.values[u] + random_complex(rng, (n, n))
         assert np.array_equal(evaluate(table, a), oracle_evaluate(table, a))
+
+    @given(norm_tables(), st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=6))
+    @settings(max_examples=60, deadline=None)
+    def test_rank_one_images_have_the_bits_of_evaluate(self, table, seed, rows):
+        """Row m of rank_one_images is evaluate at eta_m xi_m^H, signs of zero included, for every kind of row mixed."""
+        alg = table.alg
+        n = alg.n
+        rng = np.random.default_rng(seed)
+        eye = np.eye(n, dtype=complex)
+        etas, xis = random_complex(rng, (rows, n)), random_complex(rng, (rows, n))
+        for m in range(rows):
+            kind = rng.integers(5)
+            if kind == 0:  # one-hot, as the construction's canonical choices
+                etas[m], xis[m] = eye[rng.integers(n)], eye[rng.integers(n)]
+            elif kind == 1:
+                etas[m][rng.random(n) < 0.6] = 0
+                xis[m][rng.random(n) < 0.6] = 0
+            elif kind == 2:
+                etas[m] = 0
+        # keep each element in the algebra: eta within the rows, xi within the columns, of one admissible block
+        mask = alg.pattern_mask()
+        for m in range(rows):
+            a = np.outer(etas[m], xis[m].conj())
+            if np.any(a[~mask]):
+                r = rng.integers(n)
+                etas[m] = np.where(np.arange(n) == r, etas[m], 0)
+                xis[m] = np.where(mask[r], xis[m], 0)
+        images = rank_one_images(table, etas, xis)
+        assert images.shape == (rows, n, n)
+        for m in range(rows):
+            assert images[m].tobytes() == evaluate(table, np.outer(etas[m], xis[m].conj())).tobytes()
+
+    def test_rank_one_images_domain_contract(self, rng):
+        alg = NestAlgebra(5, (2, 3, 5))
+        table = inner_from(alg, random_complex(rng, (5, 5)))
+        eye = np.eye(5)
+        inside = np.vstack([eye[0], eye[1]]), np.vstack([eye[4], eye[3]])
+        # eta xi^H has 10 at (0, 1), in the pattern, and 10 eps at (4, 1), below it; its norm is about 10
+        for eps, raises in [(0.5 * table.tol, False), (2.0 * table.tol, True)]:
+            etas = np.vstack([inside[0], eye[0] + eps * eye[4]])
+            xis = np.vstack([inside[1], 10.0 * eye[1]])
+            if raises:
+                with pytest.raises(EvaluationDomainError):
+                    rank_one_images(table, etas, xis)
+                with pytest.raises(EvaluationDomainError):
+                    evaluate(table, np.outer(etas[2], xis[2].conj()))
+            else:
+                images = rank_one_images(table, etas, xis)
+                assert images[2].tobytes() == evaluate(table, 10.0 * unit(5, 0, 1)).tobytes()
+                assert np.array_equal(images[:2], rank_one_images(table, *inside))
+        # below norm 1 the tolerance is tol itself, not tol * norm
+        for eps, raises in [(0.5 * table.tol, False), (2.0 * table.tol, True)]:
+            etas, xis = [1e-3 * eye[0] + eps * eye[4]], [eye[0]]
+            if raises:
+                with pytest.raises(EvaluationDomainError):
+                    rank_one_images(table, etas, xis)
+            else:
+                assert rank_one_images(table, etas, xis)[0].tobytes() == evaluate(table, 1e-3 * unit(5, 0, 0)).tobytes()
+        assert rank_one_images(table, np.zeros((0, 5)), np.zeros((0, 5))).shape == (0, 5, 5)
+        for etas, xis in [(np.zeros((2, 4)), np.zeros((2, 4))), (np.zeros((2, 5)), np.zeros((3, 5))), (np.zeros(5), np.zeros(5))]:
+            with pytest.raises(DimensionError):
+                rank_one_images(table, etas, xis)
 
     def test_on_chain_projection(self, rng):
         alg = NestAlgebra.triangular(4)
@@ -479,7 +585,7 @@ def test_image_has_the_bits_of_the_per_unit_sum(table, seed, chunk_units):
     rng = np.random.default_rng(seed)
     a = random_complex(rng, (alg.n, alg.n))
     a[rng.random((alg.n, alg.n)) < 0.3] = 0.0
-    ui, uj = np.array(alg.basis_units()).T
+    ui, uj = alg.unit_index()
     values = table.stacked()
     try:
         got = derivation._image(a[ui, uj], values)
