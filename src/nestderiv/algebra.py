@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DimensionError, _as_matrix, basis_vector, rank_one, scalar_identity_part
+from .linalg import DimensionError, _as_matrix, scalar_identity_part
 
 
 class MatrixUnit(NamedTuple):
@@ -143,39 +143,63 @@ class StructureReport:
             self.failures.append(label)
 
 
-def _commutant_nullity(alg: NestAlgebra, tol: float):
-    """Numerical commutant {x : [x, u] = 0 for all basis units u}.
+def _commutant_gram(alg: NestAlgebra) -> np.ndarray:
+    """Gram matrix G = A^T A of the commutator system A vec(x) = (vec(x E_u - E_u x))_u.
 
-    Returns (nullity, residual) where residual measures how far the extracted
-    null-space element is from a scalar multiple of I.  The system has
-    (units * n^2) >= n^2 rows, so the thin SVD gives all n^2 singular values
-    and right singular vectors; the left ones are never formed.
+    vec is column-major, so x[p, q] is coordinate p + q n.  For u = E_ij the
+    entry (r, j) of x E_ij - E_ij x is x[r, i] for r != i, the entry (i, s) is
+    -x[j, s] for s != j, and the entry (i, j) is x[i, i] - x[j, j].  Each row
+    of A therefore adds 1 to the diagonal of G at x[r, i] (r != i) or at
+    x[j, s] (s != j), and for i != j the pair (x[i, i], x[j, j]) gets
+    [[1, -1], [-1, 1]].  Every entry of A is 0 or +-1, so G is an exact
+    integer matrix; it is assembled from index arithmetic in O(n^4) memory.
     """
     n = alg.n
     ui, uj = alg.unit_index()
-    units = np.arange(len(ui))[:, None]
-    coords = np.arange(n)[None, :]
-    # system[u, s, r, q, p] is the coefficient of x[p, q] in entry (r, s) of x E_ij - E_ij x for u = E_ij,
-    # so the reshape maps column-major vec(x) to the column-major vec(x E_ij - E_ij x) stacked over u.
-    # x E_ij is column i of x in column j, E_ij x is row j of x in row i; both hit x[i, i] at (i, i) when i == j
-    system = np.zeros((len(ui), n, n, n, n), dtype=complex)
-    system[units, uj[:, None], coords, ui[:, None], coords] = 1.0
-    system[units, coords, ui[:, None], coords, uj[:, None]] -= 1.0
-    _, s, vh = np.linalg.svd(system.reshape(len(ui) * n * n, n * n), full_matrices=False)
-    scale = max(1.0, float(s[0]))
-    nullity = int(np.sum(s <= tol * scale))
-    x = vh[-1].reshape(n, n, order="F")
+    # x[p, q] with p != q: one row per unit E_qj (entry (p, j)) and per unit E_ip (entry (i, q))
+    weight = np.bincount(ui, minlength=n)[None, :] + np.bincount(uj, minlength=n)[:, None]
+    # x[p, p]: degree of p in the multigraph with an edge per unit E_ij, i != j
+    off = ui != uj
+    np.fill_diagonal(weight, np.bincount(ui[off], minlength=n) + np.bincount(uj[off], minlength=n))
+    gram = np.diag(weight.ravel(order="F").astype(float))
+    diag = np.arange(n) * (n + 1)
+    ii, jj = diag[ui[off]], diag[uj[off]]
+    np.add.at(gram, (ii, jj), -1.0)
+    np.add.at(gram, (jj, ii), -1.0)
+    return gram
+
+
+def _commutant_nullity(alg: NestAlgebra):
+    """Numerical commutant {x : [x, u] = 0 for all basis units u}.
+
+    Returns (nullity, residual) where nullity is the dimension of the null
+    space of the commutator system, read off one eigh of its Gram matrix, and
+    residual measures how far the eigenvector of the smallest eigenvalue is
+    from a scalar multiple of I.
+
+    The nullity counts eigenvalues below 1.  G is an integer PSD matrix.  On
+    the off-diagonal coordinates x[p, q] it is diagonal with weight >= 2, from
+    the diagonal units E_pp and E_qq.  On the diagonal coordinates it is the
+    Laplacian of a multigraph that contains K_n, since every i < j is
+    admissible, so its nonzero eigenvalues are >= n.  Every nonzero eigenvalue
+    is thus >= 2 (n >= 2), while eigh returns the zero ones at about 1e-14.
+    """
+    n = alg.n
+    eigenvalues, eigenvectors = np.linalg.eigh(_commutant_gram(alg))
+    nullity = int(np.sum(eigenvalues < 1.0))
+    x = eigenvectors[:, 0].reshape(n, n, order="F")
     _, residual = scalar_identity_part(x)
     return nullity, residual
 
 
-def check_structure(alg: NestAlgebra, trials: int = 50, seed: int = 0, tol: float = 1e-10) -> StructureReport:
+def check_structure(alg: NestAlgebra, trials: int = 50, seed: int = 0) -> StructureReport:
     """Randomized verification of the basic structural facts.
 
     For random chain projections p and random matrices m: p m p^perp lies in
     the algebra; for each unit vector eta in p the rank-one map xi0 (x) eta is
     in the algebra and carries xi0 to eta (so the orbit of xi0 covers range p);
     and the commutant is trivial (only scalars commute with every basis unit).
+    The rank-one maps of one trial are checked as one (d, n, n) batch.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -183,6 +207,8 @@ def check_structure(alg: NestAlgebra, trials: int = 50, seed: int = 0, tol: floa
     report = StructureReport(trials=trials)
     n = alg.n
     interior = alg.interior_levels
+    below = ~alg.pattern_mask()
+    eye = np.eye(n, dtype=complex)
 
     for t in range(trials):
         if not interior:
@@ -195,14 +221,17 @@ def check_structure(alg: NestAlgebra, trials: int = 50, seed: int = 0, tol: floa
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         report.record(alg.contains(p @ m @ pperp), f"trial {t}: p m pperp not in algebra (k={k})")
 
-        xi0 = basis_vector(n, d + int(rng.integers(n - d)))
-        for i in range(d):
-            eta = basis_vector(n, i)
-            a = rank_one(xi0, eta)
-            ok = alg.contains(a) and np.allclose(a @ xi0, eta, atol=1e-14)
-            report.record(ok, f"trial {t}: orbit of xi0 misses basis vector {i} of p")
+        xi0 = eye[d + int(rng.integers(n - d))]
+        etas = eye[:d]
+        # rank_one(xi0, eta) = eta xi0^H for every basis vector eta of p
+        maps = etas[:, :, None] * xi0.conj()[None, None, :]
+        inside = np.all(np.abs(maps[:, below]) <= 1e-12, axis=1)
+        carried = np.all(np.isclose(maps @ xi0, etas, atol=1e-14), axis=1)
+        for i in np.flatnonzero(~(inside & carried)).tolist():
+            report.failures.append(f"trial {t}: orbit of xi0 misses basis vector {i} of p")
+        report.assertions += d
 
-    nullity, residual = _commutant_nullity(alg, tol)
+    nullity, residual = _commutant_nullity(alg)
     report.commutant_nullity = nullity
     report.record(nullity == 1, f"commutant nullity {nullity} != 1")
     report.record(residual <= 1e-8, f"commutant element not scalar (residual {residual:.2e})")

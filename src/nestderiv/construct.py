@@ -153,9 +153,14 @@ def _b1_family(table: DerivationTable, levels: list) -> list:
 
 def build_c1(table: DerivationTable, choices: ConstructionChoices) -> np.ndarray:
     """c1 = -p delta(p) p-perp; kills p and matches -delta(p) on p-perp."""
+    choices.validate(table.alg)
+    return _c1(table, choices.k)
+
+
+def _c1(table: DerivationTable, k: int) -> np.ndarray:
+    """build_c1 for the interior chain index k, unchecked."""
     alg = table.alg
-    choices.validate(alg)
-    p = alg.lattice_projection(choices.k)
+    p = alg.lattice_projection(k)
     pperp = np.eye(alg.n) - p
     return -p @ evaluate(table, p) @ pperp
 
@@ -171,9 +176,12 @@ def build_c2(table: DerivationTable, choices: ConstructionChoices, basis=None) -
     The result is independent of the basis (that is the linearity lemma,
     tested separately).
     """
-    alg = table.alg
-    d = choices.validate(alg)
-    n = alg.n
+    return _c2(table, choices.validate(table.alg), choices, basis)
+
+
+def _c2(table: DerivationTable, d: int, choices: ConstructionChoices, basis=None) -> np.ndarray:
+    """build_c2 for choices already validated, with p of rank d."""
+    n = table.alg.n
     xi0 = _as_vector(choices.xi0)
     eta1 = _as_vector(choices.eta1)
     basis = np.eye(n)[d:] if basis is None else np.array([_as_vector(xi) for xi in basis])
@@ -188,11 +196,12 @@ def build_c2(table: DerivationTable, choices: ConstructionChoices, basis=None) -
 
 
 def build_b(table: DerivationTable, choices: ConstructionChoices) -> ConstructionArtifacts:
-    """Full pipeline: b = b1 + c1 + c2."""
-    b1 = build_b1(table, choices)
-    c1 = build_c1(table, choices)
+    """Full pipeline: b = b1 + c1 + c2, with the choices validated once."""
+    d = choices.validate(table.alg)
+    b1 = _b1_family(table, [(d, _as_vector(choices.xi0))])[0]
+    c1 = _c1(table, choices.k)
     b2 = b1 + c1
-    c2 = build_c2(table, choices)
+    c2 = _c2(table, d, choices)
     return ConstructionArtifacts(b1=b1, c1=c1, b2=b2, c2=c2, b=b2 + c2, choices=choices)
 
 
@@ -216,9 +225,12 @@ def triple_rule_residual(table: DerivationTable, choices: ConstructionChoices) -
     algebra, and if not, the construction itself is broken and an error
     propagates.
     """
-    alg = table.alg
-    d = choices.validate(alg)
-    n = alg.n
+    return RuleResidual(max_residual=_rule_max(table, choices.validate(table.alg), choices))
+
+
+def _rule_max(table: DerivationTable, d: int, choices: ConstructionChoices) -> float:
+    """triple_rule_residual's largest residual for choices already validated, with p of rank d."""
+    n = table.alg.n
     xi0 = _as_vector(choices.xi0)
     eta1 = _as_vector(choices.eta1)
     eye = np.eye(n)
@@ -238,7 +250,7 @@ def triple_rule_residual(table: DerivationTable, choices: ConstructionChoices) -
     rhs[pairs, pi, :] += rows[pa - d]
     rhs[pairs, pi, pa] -= s
     units = np.stack([table.values[u] for u in zip(pi.tolist(), pa.tolist())])
-    return RuleResidual(max_residual=float(np.linalg.norm(units - rhs, 2, axis=(1, 2)).max()))
+    return float(np.linalg.norm(units - rhs, 2, axis=(1, 2)).max())
 
 
 def verify(
@@ -269,7 +281,7 @@ def verify(
     corner = (ui >= d) & (uj >= d)
     residual_b = commutator_residuals(table, artifacts.b)
     residual_b2 = commutator_residuals(table, artifacts.b2, units=psp)
-    rule = triple_rule_residual(table, choices)
+    rule_max = _rule_max(table, d, choices)
 
     estimate = norms if norms is not None else norm_estimate(table, seed=norm_seed, generator=generator)
     norm_data = {
@@ -288,7 +300,7 @@ def verify(
         residual_pSp=float(max(residual_b2.max(initial=0.0), residual_b[psp].max(initial=0.0))),
         residual_corner=float(residual_b[corner].max(initial=0.0)),
         residual_full=float(residual_b.max()),
-        rule_max=rule.max_residual,
+        rule_max=rule_max,
         norms=norm_data,
         gauge=gauge,
         tol=tol,

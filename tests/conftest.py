@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+
+from nestderiv.algebra import NestAlgebra
 
 
 def unit(n, i, j):
@@ -21,3 +24,13 @@ def random_complex(rng, shape):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@st.composite
+def algebras(draw, max_n=8):
+    """T_n or a random chain, n <= max_n."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    if draw(st.booleans()):
+        return NestAlgebra.triangular(n)
+    interior = draw(st.sets(st.integers(min_value=1, max_value=n - 1))) if n > 1 else set()
+    return NestAlgebra(n, (*sorted(interior), n))

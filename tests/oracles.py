@@ -6,14 +6,17 @@ defining formulas, without calling the package's evaluation or construction
 paths.  Inputs are small integer matrices so the arithmetic is exact.
 
 The later oracles are the package's earlier one-element-at-a-time loops
-(validation, evaluation, norm estimate, construction, chain scalars), kept
-as references for the batched paths; the construction loops call
-``evaluate`` as they did.
+(validation, evaluation, norm estimate, construction, chain scalars,
+structure check), kept as references for the batched paths; the
+construction loops call ``evaluate`` as they did.
 """
 
 import itertools
 
 import numpy as np
+
+from nestderiv.algebra import StructureReport
+from nestderiv.linalg import basis_vector, rank_one
 
 
 def oracle_delta(c, i, j):
@@ -196,23 +199,59 @@ def oracle_enclosing_disk_radius(points):
     return min(r for z, r in candidates if np.all(np.abs(points - z) <= r * (1 + 1e-12) + 1e-15))
 
 
-def oracle_commutant_nullity(alg, tol):
-    """(nullity, scalar residual) of the commutant from the Kronecker system built one unit at a time.
+def oracle_commutant_system(alg):
+    """The Kronecker commutator system, built one unit at a time.
 
     The rows of unit E are e^T kron I - I kron e, the map vec(x) -> vec(x e - e x)
-    in column-major vec; the system is stacked in basis order and solved as in
-    algebra._commutant_nullity.
+    in column-major vec; the rows are stacked in basis order.
+    """
+    eye = np.eye(alg.n)
+    return np.vstack([np.kron(e.T, eye) - np.kron(eye, e) for e in map(alg.unit_matrix, alg.basis_units())])
+
+
+def oracle_commutant_nullity(alg, tol):
+    """(nullity, scalar residual) of the commutant from a thin SVD of the Kronecker system.
+
+    The nullity counts singular values <= tol * max(1, largest one), and the
+    residual is that of the last right singular vector, the package's earlier
+    route.
     """
     n = alg.n
-    eye = np.eye(n)
-    rows = []
-    for u in alg.basis_units():
-        e = alg.unit_matrix(u)
-        rows.append(np.kron(e.T, eye) - np.kron(eye, e))
-    _, s, vh = np.linalg.svd(np.vstack(rows), full_matrices=False)
+    _, s, vh = np.linalg.svd(oracle_commutant_system(alg), full_matrices=False)
     nullity = int(np.sum(s <= tol * max(1.0, float(s[0]))))
     x = vh[-1].reshape(n, n, order="F")
-    return nullity, float(np.linalg.norm(x - np.trace(x) / n * eye, 2))
+    return nullity, float(np.linalg.norm(x - np.trace(x) / n * np.eye(n), 2))
+
+
+def oracle_check_structure(alg, trials=50, seed=0):
+    """check_structure with one rank_one/contains/allclose check per basis vector of p, and the SVD commutant."""
+    rng = np.random.default_rng(seed)
+    report = StructureReport(trials=trials)
+    n = alg.n
+    interior = alg.interior_levels
+    for t in range(trials):
+        if not interior:
+            break
+        k = int(rng.choice(interior))
+        p = alg.lattice_projection(k)
+        pperp = np.eye(n) - p
+        d = alg.chain[k - 1]
+
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        report.record(alg.contains(p @ m @ pperp), f"trial {t}: p m pperp not in algebra (k={k})")
+
+        xi0 = basis_vector(n, d + int(rng.integers(n - d)))
+        for i in range(d):
+            eta = basis_vector(n, i)
+            a = rank_one(xi0, eta)
+            ok = alg.contains(a) and np.allclose(a @ xi0, eta, atol=1e-14)
+            report.record(ok, f"trial {t}: orbit of xi0 misses basis vector {i} of p")
+
+    nullity, residual = oracle_commutant_nullity(alg, 1e-10)
+    report.commutant_nullity = nullity
+    report.record(nullity == 1, f"commutant nullity {nullity} != 1")
+    report.record(residual <= 1e-8, f"commutant element not scalar (residual {residual:.2e})")
+    return report
 
 
 def oracle_evaluate(table, a):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nestderiv.algebra import MatrixUnit, NestAlgebra, _commutant_nullity, check_structure
+from nestderiv.algebra import MatrixUnit, NestAlgebra, _commutant_gram, _commutant_nullity, check_structure
 from nestderiv.linalg import op_norm
 
-from conftest import random_complex, unit
-from oracles import oracle_commutant_nullity
+from conftest import algebras, random_complex, unit
+from oracles import oracle_check_structure, oracle_commutant_nullity, oracle_commutant_system
 
 
 class TestNestAlgebra:
@@ -153,10 +155,45 @@ class TestCheckStructure:
         m = random_complex(rng, (3, 3))
         assert alg.contains(p @ m @ (np.eye(3) - p))
 
-    @pytest.mark.parametrize("chain", [(1,), (3,), tuple(range(1, 5)), (2, 5, 8), tuple(range(1, 8))])
+    @pytest.mark.parametrize("chain", [(1,), (3,), tuple(range(1, 5)), (2, 5, 8), tuple(range(1, 8)), tuple(range(1, 13))])
     def test_commutant_matches_per_unit_kron_oracle(self, chain):
+        # the Gram matrix is exact integer arithmetic on both sides; the residuals come from different
+        # factorizations (eigh of G against an SVD of the system), so they are compared with a bound, not bitwise
         alg = NestAlgebra(chain[-1], chain)
-        assert _commutant_nullity(alg, 1e-10) == oracle_commutant_nullity(alg, 1e-10)
+        system = oracle_commutant_system(alg)
+        gram = system.conj().T @ system
+        assert np.array_equal(_commutant_gram(alg), gram.real)
+        assert not gram.imag.any()
+        nullity, residual = _commutant_nullity(alg)
+        oracle_nullity, oracle_residual = oracle_commutant_nullity(alg, 1e-10)
+        assert nullity == oracle_nullity
+        assert residual <= 1e-12 and oracle_residual <= 1e-12
+
+    @given(algebras(max_n=12))
+    @settings(max_examples=40, deadline=None)
+    def test_commutant_gram_has_an_integer_gap(self, alg):
+        # the nullity threshold of 1 rests on every nonzero eigenvalue of G being >= 2
+        eigenvalues = np.linalg.eigvalsh(_commutant_gram(alg))
+        assert _commutant_nullity(alg)[0] == 1
+        assert abs(eigenvalues[0]) <= 1e-12
+        assert eigenvalues[1:].min(initial=np.inf) >= 2 - 1e-12
+
+    @given(algebras(max_n=7), st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=12))
+    @settings(max_examples=40, deadline=None)
+    def test_check_structure_matches_per_vector_oracle(self, alg, seed, trials):
+        report = check_structure(alg, trials=trials, seed=seed)
+        expected = oracle_check_structure(alg, trials=trials, seed=seed)
+        assert (report.assertions, report.failures, report.commutant_nullity) == (
+            expected.assertions,
+            expected.failures,
+            expected.commutant_nullity,
+        )
+
+    def test_t32_without_the_kronecker_system(self):
+        # the dense (units * n^2, n^2) system needed about 9 GB here
+        report = check_structure(NestAlgebra.triangular(32), trials=5)
+        assert report.ok, report.failures
+        assert report.commutant_nullity == 1
 
     @pytest.mark.parametrize("chain", [(1, 2, 3), (2, 3), (1, 4, 5), tuple(range(1, 13))])
     def test_random_chains_pass(self, chain):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from nestderiv.algebra import NestAlgebra
 from nestderiv.construct import (
+    ConstructionArtifacts,
     ConstructionChoices,
     build_b,
     build_b1,
@@ -234,6 +235,28 @@ class TestBuildB:
         art = build_b(table, choices)
         assert np.array_equal(art.b2, art.b1 + art.c1)
         assert np.array_equal(art.b, art.b2 + art.c2)
+
+    def test_every_entry_point_validates_the_choices(self):
+        alg = NestAlgebra.triangular(3)
+        table = zero_table(alg)
+        art = build_b(table, choices_for(alg, 1))
+        bad = ConstructionChoices(k=2, xi0=basis_vec(3, 0), eta1=basis_vec(3, 0))
+        for entry in (build_b1, build_c1, build_c2, build_b, triple_rule_residual):
+            with pytest.raises(ValueError, match="p-perp"):
+                entry(table, bad)
+        with pytest.raises(ValueError, match="p-perp"):
+            verify(table, ConstructionArtifacts(art.b1, art.c1, art.b2, art.c2, art.b, bad))
+
+    def test_build_b_and_verify_validate_once(self, rng, monkeypatch):
+        alg = NestAlgebra.triangular(4)
+        table = inner_from(alg, random_complex(rng, (4, 4)))
+        calls = []
+        validate_choices = ConstructionChoices.validate
+        monkeypatch.setattr(ConstructionChoices, "validate", lambda self, alg: calls.append(self) or validate_choices(self, alg))
+        art = build_b(table, choices_for(alg, 2))
+        assert len(calls) == 1
+        verify(table, art)
+        assert len(calls) == 2
 
 
 class TestDefaultChoices:

@@ -21,7 +21,7 @@ from nestderiv.derivation import (
 )
 from nestderiv.linalg import DimensionError, matrix_to_json, op_norm
 
-from conftest import random_complex, unit
+from conftest import algebras, random_complex, unit
 from oracles import (
     oracle_commutator_residuals,
     oracle_distance_to_scalars,
@@ -35,16 +35,6 @@ from oracles import (
 
 def zero_table(alg):
     return DerivationTable(alg, {u: np.zeros((alg.n, alg.n), dtype=complex) for u in alg.basis_units()})
-
-
-@st.composite
-def algebras(draw, max_n=8):
-    """T_n or a random chain, n <= max_n."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    if draw(st.booleans()):
-        return NestAlgebra.triangular(n)
-    interior = draw(st.sets(st.integers(min_value=1, max_value=n - 1))) if n > 1 else set()
-    return NestAlgebra(n, (*sorted(interior), n))
 
 
 @st.composite
