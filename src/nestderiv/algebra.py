@@ -15,6 +15,9 @@ import numpy as np
 
 from .linalg import DimensionError, _as_matrix, scalar_identity_part
 
+# complex entries of the rank-one orbit maps in one batch of check_structure trials
+_TRIAL_ENTRIES = 1 << 15
+
 
 class MatrixUnit(NamedTuple):
     """Indices (i, j) of the matrix unit E_ij, 0-based."""
@@ -143,52 +146,61 @@ class StructureReport:
             self.failures.append(label)
 
 
-def _commutant_gram(alg: NestAlgebra) -> np.ndarray:
-    """Gram matrix G = A^T A of the commutator system A vec(x) = (vec(x E_u - E_u x))_u.
+def _commutant_blocks(alg: NestAlgebra) -> tuple:
+    """The two diagonal blocks of the Gram matrix G = A^T A of the commutator system A vec(x) = (vec(x E_u - E_u x))_u.
 
-    vec is column-major, so x[p, q] is coordinate p + q n.  For u = E_ij the
-    entry (r, j) of x E_ij - E_ij x is x[r, i] for r != i, the entry (i, s) is
-    -x[j, s] for s != j, and the entry (i, j) is x[i, i] - x[j, j].  Each row
-    of A therefore adds 1 to the diagonal of G at x[r, i] (r != i) or at
-    x[j, s] (s != j), and for i != j the pair (x[i, i], x[j, j]) gets
-    [[1, -1], [-1, 1]].  Every entry of A is 0 or +-1, so G is an exact
-    integer matrix; it is assembled from index arithmetic in O(n^4) memory.
+    For u = E_ij the entry (r, j) of x E_ij - E_ij x is x[r, i] for r != i,
+    the entry (i, s) is -x[j, s] for s != j, and the entry (i, j) is
+    x[i, i] - x[j, j].  Each row of A therefore adds 1 to the diagonal of G
+    at x[r, i] (r != i) or at x[j, s] (s != j), and for i != j the pair
+    (x[i, i], x[j, j]) gets [[1, -1], [-1, 1]].  No row couples an
+    off-diagonal coordinate with another coordinate, so G is block-diagonal:
+    a diagonal on the n^2 - n coordinates x[p, q], p != q, and on the n
+    coordinates x[p, p] the Laplacian of the multigraph with an edge per unit
+    E_ij, i != j.  Every entry of A is 0 or +-1, so both blocks are exact
+    integers.
+
+    Returns (weights, laplacian): G's diagonal as an n x n array, entry
+    (p, q) at coordinate x[p, q], and the n x n Laplacian block.
     """
     n = alg.n
     ui, uj = alg.unit_index()
     # x[p, q] with p != q: one row per unit E_qj (entry (p, j)) and per unit E_ip (entry (i, q))
-    weight = np.bincount(ui, minlength=n)[None, :] + np.bincount(uj, minlength=n)[:, None]
-    # x[p, p]: degree of p in the multigraph with an edge per unit E_ij, i != j
+    weights = np.bincount(ui, minlength=n)[None, :] + np.bincount(uj, minlength=n)[:, None]
     off = ui != uj
-    np.fill_diagonal(weight, np.bincount(ui[off], minlength=n) + np.bincount(uj[off], minlength=n))
-    gram = np.diag(weight.ravel(order="F").astype(float))
-    diag = np.arange(n) * (n + 1)
-    ii, jj = diag[ui[off]], diag[uj[off]]
-    np.add.at(gram, (ii, jj), -1.0)
-    np.add.at(gram, (jj, ii), -1.0)
-    return gram
+    laplacian = np.zeros((n, n))
+    np.add.at(laplacian, (ui[off], uj[off]), -1.0)
+    np.add.at(laplacian, (uj[off], ui[off]), -1.0)
+    degree = np.bincount(ui[off], minlength=n) + np.bincount(uj[off], minlength=n)
+    laplacian[np.diag_indices(n)] = degree
+    np.fill_diagonal(weights, degree)
+    return weights, laplacian
 
 
 def _commutant_nullity(alg: NestAlgebra):
     """Numerical commutant {x : [x, u] = 0 for all basis units u}.
 
     Returns (nullity, residual) where nullity is the dimension of the null
-    space of the commutator system, read off one eigh of its Gram matrix, and
-    residual measures how far the eigenvector of the smallest eigenvalue is
-    from a scalar multiple of I.
+    space of the commutator system, read off the two diagonal blocks of its
+    Gram matrix G (_commutant_blocks), and residual measures how far the
+    eigenvector of G's smallest eigenvalue is from a scalar multiple of I.
 
-    The nullity counts eigenvalues below 1.  G is an integer PSD matrix.  On
-    the off-diagonal coordinates x[p, q] it is diagonal with weight >= 2, from
-    the diagonal units E_pp and E_qq.  On the diagonal coordinates it is the
-    Laplacian of a multigraph that contains K_n, since every i < j is
-    admissible, so its nonzero eigenvalues are >= n.  Every nonzero eigenvalue
-    is thus >= 2 (n >= 2), while eigh returns the zero ones at about 1e-14.
+    The nullity counts eigenvalues of G below 1: the off-diagonal weights
+    below 1 plus the eigenvalues below 1 of the Laplacian, from one eigh of an
+    n x n matrix, so O(n^3) time and O(n^2) memory; G itself is never formed.
+    G is an integer PSD matrix.  Each off-diagonal weight is >= 2, from the
+    diagonal units E_pp and E_qq.  The Laplacian is that of a multigraph that
+    contains K_n, since every i < j is admissible, so its nonzero eigenvalues
+    are >= n.  Every nonzero eigenvalue of G is thus >= 2 (n >= 2), while
+    eigh returns the zero ones at about 1e-14.  For the same reason the
+    smallest eigenvalue of G is the Laplacian's, and its eigenvector v is the
+    null vector diag(v) in matrix form.
     """
     n = alg.n
-    eigenvalues, eigenvectors = np.linalg.eigh(_commutant_gram(alg))
-    nullity = int(np.sum(eigenvalues < 1.0))
-    x = eigenvectors[:, 0].reshape(n, n, order="F")
-    _, residual = scalar_identity_part(x)
+    weights, laplacian = _commutant_blocks(alg)
+    eigenvalues, eigenvectors = np.linalg.eigh(laplacian)
+    nullity = int(np.sum(weights[~np.eye(n, dtype=bool)] < 1)) + int(np.sum(eigenvalues < 1.0))
+    _, residual = scalar_identity_part(np.diag(eigenvectors[:, 0]))
     return nullity, residual
 
 
@@ -199,40 +211,67 @@ def check_structure(alg: NestAlgebra, trials: int = 50, seed: int = 0) -> Struct
     the algebra; for each unit vector eta in p the rank-one map xi0 (x) eta is
     in the algebra and carries xi0 to eta (so the orbit of xi0 covers range p);
     and the commutant is trivial (only scalars commute with every basis unit).
-    The rank-one maps of one trial are checked as one (d, n, n) batch.
+
+    Each trial draws, in this stream order, its chain level, the real and
+    imaginary parts of m and the index of xi0.  The trials are drawn and then
+    checked together in batches of max(1, _TRIAL_ENTRIES // n^3) trials, so
+    the rank-one maps of a batch, fewer than n per trial, hold at most
+    max(_TRIAL_ENTRIES, n^3) complex entries.  Failures are listed in trial
+    order.
     """
+    if not math.isfinite(trials) or int(trials) != trials:
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     report = StructureReport(trials=trials)
-    n = alg.n
-    interior = alg.interior_levels
-    below = ~alg.pattern_mask()
-    eye = np.eye(n, dtype=complex)
-
-    for t in range(trials):
-        if not interior:
-            break
-        k = int(rng.choice(interior))
-        p = alg.lattice_projection(k)
-        pperp = np.eye(n) - p
-        d = alg.chain[k - 1]
-
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        report.record(alg.contains(p @ m @ pperp), f"trial {t}: p m pperp not in algebra (k={k})")
-
-        xi0 = eye[d + int(rng.integers(n - d))]
-        etas = eye[:d]
-        # rank_one(xi0, eta) = eta xi0^H for every basis vector eta of p
-        maps = etas[:, :, None] * xi0.conj()[None, None, :]
-        inside = np.all(np.abs(maps[:, below]) <= 1e-12, axis=1)
-        carried = np.all(np.isclose(maps @ xi0, etas, atol=1e-14), axis=1)
-        for i in np.flatnonzero(~(inside & carried)).tolist():
-            report.failures.append(f"trial {t}: orbit of xi0 misses basis vector {i} of p")
-        report.assertions += d
+    step = max(1, _TRIAL_ENTRIES // alg.n**3)
+    if alg.interior_levels:
+        for start in range(0, trials, step):
+            _check_trials(alg, rng, range(start, min(start + step, trials)), report)
 
     nullity, residual = _commutant_nullity(alg)
     report.commutant_nullity = nullity
     report.record(nullity == 1, f"commutant nullity {nullity} != 1")
     report.record(residual <= 1e-8, f"commutant element not scalar (residual {residual:.2e})")
     return report
+
+
+def _check_trials(alg: NestAlgebra, rng, batch: range, report: StructureReport):
+    """Draw the trials of batch from rng in stream order, then check them together into report."""
+    n = alg.n
+    interior = alg.interior_levels
+    levels, dims, xi_index = np.empty((3, len(batch)), dtype=int)
+    parts = np.empty((len(batch), 2, n, n))
+    for t in range(len(batch)):
+        k = interior[int(rng.integers(len(interior)))]
+        d = alg.chain[k - 1]
+        rng.standard_normal(out=parts[t, 0])
+        rng.standard_normal(out=parts[t, 1])
+        levels[t], dims[t], xi_index[t] = k, d, d + int(rng.integers(n - d))
+    below = ~alg.pattern_mask()
+    eye = np.eye(n, dtype=complex)
+
+    distinct, level_of = np.unique(levels, return_inverse=True)
+    p = np.stack([alg.lattice_projection(k) for k in distinct.tolist()])[level_of]
+    corner = p @ (parts[:, 0] + 1j * parts[:, 1]) @ (eye - p)
+    in_algebra = np.all(np.abs(corner[:, below]) <= 1e-12, axis=1)
+
+    # rank_one(xi0, eta) = eta xi0^H for every basis vector eta of p, pairs in trial order
+    trial = np.repeat(np.arange(len(batch)), dims)
+    etas = eye[np.arange(len(trial)) - np.repeat(np.cumsum(dims) - dims, dims)]
+    xi0 = eye[xi_index[trial]]
+    maps = etas[:, :, None] * xi0.conj()[:, None, :]
+    inside = np.all(np.abs(maps[:, below]) <= 1e-12, axis=1)
+    carried = np.all(np.isclose((maps @ xi0[:, :, None])[:, :, 0], etas, atol=1e-14), axis=1)
+    missed = ~(inside & carried)
+
+    report.assertions += len(batch) + len(trial)
+    failed = ~in_algebra
+    failed[trial[missed]] = True
+    for t in np.flatnonzero(failed):
+        if not in_algebra[t]:
+            report.failures.append(f"trial {batch[t]}: p m pperp not in algebra (k={levels[t]})")
+        for i in np.flatnonzero(missed[trial == t]).tolist():
+            report.failures.append(f"trial {batch[t]}: orbit of xi0 misses basis vector {i} of p")

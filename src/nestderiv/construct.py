@@ -16,9 +16,10 @@ from .algebra import NestAlgebra
 from .derivation import (
     DerivationTable,
     NormEstimate,
-    commutator_residuals,
+    _norm_estimate,
+    _residual_norms,
+    _value_scale,
     evaluate,
-    norm_estimate,
     rank_one_images,
 )
 from .linalg import _as_matrix, _as_vector, basis_vector, matrix_to_json, op_norm, scalar_identity_part
@@ -273,17 +274,18 @@ def verify(
     alg = table.alg
     choices = artifacts.choices
     d = choices.validate(alg)
+    values = table.stacked()
     if tol is None:
-        tol = table.tol * table.value_scale
+        tol = table.tol * _value_scale(values)
 
     ui, uj = alg.unit_index()
     psp = (ui < d) & (uj < d)
     corner = (ui >= d) & (uj >= d)
-    residual_b = commutator_residuals(table, artifacts.b)
-    residual_b2 = commutator_residuals(table, artifacts.b2, units=psp)
+    residual_b = _residual_norms(alg, values, artifacts.b)
+    residual_b2 = _residual_norms(alg, values, artifacts.b2, units=psp)
     rule_max = _rule_max(table, d, choices)
 
-    estimate = norms if norms is not None else norm_estimate(table, seed=norm_seed, generator=generator)
+    estimate = norms if norms is not None else _norm_estimate(alg, values, seed=norm_seed, generator=generator)
     norm_data = {
         "b1": op_norm(artifacts.b1),
         "b2": op_norm(artifacts.b2),

@@ -27,7 +27,7 @@ _CHUNK_ENTRIES = 1 << 20
 # bytes of terms per np.add.reduce in _image
 _IMAGE_BYTES = 1 << 18
 
-# values normed in the first chunk of value_scale; each further chunk is twice as large
+# values normed in the first chunk of _value_scale; each further chunk is twice as large
 _SCALE_CHUNK = 8
 
 # SVDs the Newton iteration of distance_to_scalars may spend before it falls back: ~4 certify a smooth minimum,
@@ -47,6 +47,25 @@ def check_tol(tol: float) -> float:
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     return tol
+
+
+def _value_scale(values: np.ndarray) -> float:
+    """1 + max operator norm over the stacked table values, the residual scale.
+
+    An operator norm is at most the Frobenius norm F, so the values are
+    normed in descending F order, in chunks of doubling size, until F of
+    the next value, times 1 + 1e-10 for rounding, is below the largest
+    operator norm found.  Every value left over has a smaller norm, so the
+    maximum is the one over all values, to the bit.
+    """
+    frobenius = np.linalg.norm(values, axis=(1, 2))
+    order = np.argsort(-frobenius, kind="stable")
+    best, start, step = 0.0, 0, _SCALE_CHUNK
+    while start < len(order) and not frobenius[order[start]] * (1 + 1e-10) < best:
+        chunk = order[start : start + step]
+        best = max(best, float(np.linalg.norm(values[chunk], 2, axis=(1, 2)).max()))
+        start, step = start + step, 2 * step
+    return 1.0 + best
 
 
 @dataclass
@@ -85,23 +104,8 @@ class DerivationTable:
 
     @property
     def value_scale(self) -> float:
-        """1 + max operator norm over the table, the residual scale.
-
-        An operator norm is at most the Frobenius norm F, so the values are
-        normed in descending F order, in chunks of doubling size, until F of
-        the next value, times 1 + 1e-10 for rounding, is below the largest
-        operator norm found.  Every value left over has a smaller norm, so the
-        maximum is the one over all values, to the bit.
-        """
-        values = self.stacked()
-        frobenius = np.linalg.norm(values, axis=(1, 2))
-        order = np.argsort(-frobenius, kind="stable")
-        best, start, step = 0.0, 0, _SCALE_CHUNK
-        while start < len(order) and not frobenius[order[start]] * (1 + 1e-10) < best:
-            chunk = order[start : start + step]
-            best = max(best, float(np.linalg.norm(values[chunk], 2, axis=(1, 2)).max()))
-            start, step = start + step, 2 * step
-        return 1.0 + best
+        """1 + max operator norm over the table, the residual scale (see _value_scale)."""
+        return _value_scale(self.stacked())
 
     def to_json(self) -> dict:
         entries = [
@@ -179,7 +183,12 @@ def commutator_residuals(table: DerivationTable, x, p=None, units=None) -> np.nd
     units, a boolean mask or index array over the basis units, limits the
     norms to those units.
     """
-    residual = table.stacked() - unit_commutators(table.alg, x)
+    return _residual_norms(table.alg, table.stacked(), x, p, units)
+
+
+def _residual_norms(alg: NestAlgebra, values: np.ndarray, x, p=None, units=None) -> np.ndarray:
+    """commutator_residuals on the stacked table values."""
+    residual = values - unit_commutators(alg, x)
     if units is not None:
         residual = residual[units]
     if p is not None:
@@ -216,9 +225,9 @@ def validate(table: DerivationTable) -> ValidationReport:
     alg = table.alg
     n = alg.n
     units = alg.basis_units()
-    scaled_tol = table.tol * table.value_scale
     ui, uj = alg.unit_index()
     values = table.stacked()
+    scaled_tol = table.tol * _value_scale(values)
     rows = np.arange(len(units))
     coords = np.arange(n)
 
@@ -488,14 +497,17 @@ def norm_estimate(table: DerivationTable, samples: int = 32, seed: int = 0, gene
     about 4 SVDs; a kink (a normal c) falls back to the ellipsoid method's
     own certificate.
     """
+    return _norm_estimate(table.alg, table.stacked(), samples, seed, generator)
+
+
+def _norm_estimate(alg: NestAlgebra, values: np.ndarray, samples: int = 32, seed: int = 0, generator=None) -> NormEstimate:
+    """norm_estimate on the stacked table values."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    alg = table.alg
     n = alg.n
     mask = alg.pattern_mask()
     ui, uj = alg.unit_index()
-    values = table.stacked()
 
     # the stream order of drawing each sample's real part, then its imaginary part, sample by sample
     draws = rng.standard_normal((samples, 2, n, n))

@@ -209,6 +209,33 @@ def oracle_commutant_system(alg):
     return np.vstack([np.kron(e.T, eye) - np.kron(eye, e) for e in map(alg.unit_matrix, alg.basis_units())])
 
 
+def oracle_commutant_gram(alg):
+    """Gram matrix G = A^T A of the commutator system A vec(x) = (vec(x E_u - E_u x))_u, dense n^2 x n^2.
+
+    vec is column-major, so x[p, q] is coordinate p + q n.  For u = E_ij the
+    entry (r, j) of x E_ij - E_ij x is x[r, i] for r != i, the entry (i, s) is
+    -x[j, s] for s != j, and the entry (i, j) is x[i, i] - x[j, j].  Each row
+    of A therefore adds 1 to the diagonal of G at x[r, i] (r != i) or at
+    x[j, s] (s != j), and for i != j the pair (x[i, i], x[j, j]) gets
+    [[1, -1], [-1, 1]].  Every entry of A is 0 or +-1, so G is an exact
+    integer matrix; it is assembled from index arithmetic, the package's
+    earlier route before it kept only G's two diagonal blocks.
+    """
+    n = alg.n
+    ui, uj = alg.unit_index()
+    # x[p, q] with p != q: one row per unit E_qj (entry (p, j)) and per unit E_ip (entry (i, q))
+    weight = np.bincount(ui, minlength=n)[None, :] + np.bincount(uj, minlength=n)[:, None]
+    # x[p, p]: degree of p in the multigraph with an edge per unit E_ij, i != j
+    off = ui != uj
+    np.fill_diagonal(weight, np.bincount(ui[off], minlength=n) + np.bincount(uj[off], minlength=n))
+    gram = np.diag(weight.ravel(order="F").astype(float))
+    diag = np.arange(n) * (n + 1)
+    ii, jj = diag[ui[off]], diag[uj[off]]
+    np.add.at(gram, (ii, jj), -1.0)
+    np.add.at(gram, (jj, ii), -1.0)
+    return gram
+
+
 def oracle_commutant_nullity(alg, tol):
     """(nullity, scalar residual) of the commutant from a thin SVD of the Kronecker system.
 

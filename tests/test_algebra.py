@@ -1,13 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nestderiv.algebra import MatrixUnit, NestAlgebra, _commutant_gram, _commutant_nullity, check_structure
+from nestderiv import algebra
+from nestderiv.algebra import MatrixUnit, NestAlgebra, _commutant_blocks, _commutant_nullity, check_structure
 from nestderiv.linalg import op_norm
 
 from conftest import algebras, random_complex, unit
-from oracles import oracle_check_structure, oracle_commutant_nullity, oracle_commutant_system
+from oracles import oracle_check_structure, oracle_commutant_gram, oracle_commutant_nullity, oracle_commutant_system
 
 
 class TestNestAlgebra:
@@ -158,12 +161,23 @@ class TestCheckStructure:
     @pytest.mark.parametrize("chain", [(1,), (3,), tuple(range(1, 5)), (2, 5, 8), tuple(range(1, 8)), tuple(range(1, 13))])
     def test_commutant_matches_per_unit_kron_oracle(self, chain):
         # the Gram matrix is exact integer arithmetic on both sides; the residuals come from different
-        # factorizations (eigh of G against an SVD of the system), so they are compared with a bound, not bitwise
+        # factorizations (eigh of the Laplacian block against an SVD of the system), so they are compared
+        # with a bound, not bitwise
         alg = NestAlgebra(chain[-1], chain)
+        n = alg.n
         system = oracle_commutant_system(alg)
         gram = system.conj().T @ system
-        assert np.array_equal(_commutant_gram(alg), gram.real)
+        assert np.array_equal(oracle_commutant_gram(alg), gram.real)
         assert not gram.imag.any()
+        # the package keeps G's diagonal and its block on the diagonal coordinates x[p, p], p (n + 1) in vec order
+        weights, laplacian = _commutant_blocks(alg)
+        diag = np.arange(n) * (n + 1)
+        assert np.array_equal(weights.ravel(order="F"), np.diag(gram.real))
+        assert np.array_equal(laplacian, gram.real[np.ix_(diag, diag)])
+        # and G has no other nonzero entry
+        blocks = np.diag(weights.ravel(order="F").astype(float))
+        blocks[np.ix_(diag, diag)] = laplacian
+        assert np.array_equal(blocks, gram.real)
         nullity, residual = _commutant_nullity(alg)
         oracle_nullity, oracle_residual = oracle_commutant_nullity(alg, 1e-10)
         assert nullity == oracle_nullity
@@ -173,15 +187,22 @@ class TestCheckStructure:
     @settings(max_examples=40, deadline=None)
     def test_commutant_gram_has_an_integer_gap(self, alg):
         # the nullity threshold of 1 rests on every nonzero eigenvalue of G being >= 2
-        eigenvalues = np.linalg.eigvalsh(_commutant_gram(alg))
+        eigenvalues = np.linalg.eigvalsh(oracle_commutant_gram(alg))
         assert _commutant_nullity(alg)[0] == 1
         assert abs(eigenvalues[0]) <= 1e-12
         assert eigenvalues[1:].min(initial=np.inf) >= 2 - 1e-12
 
-    @given(algebras(max_n=7), st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=12))
-    @settings(max_examples=40, deadline=None)
-    def test_check_structure_matches_per_vector_oracle(self, alg, seed, trials):
-        report = check_structure(alg, trials=trials, seed=seed)
+    @given(
+        algebras(max_n=10),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=60),
+        st.sampled_from([1, 1 << 8, 1 << 12, algebra._TRIAL_ENTRIES]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_check_structure_matches_per_vector_oracle(self, alg, seed, trials, budget):
+        # the default budget holds 32 trials at n = 10; the smaller ones cut batches down to one trial
+        with mock.patch.object(algebra, "_TRIAL_ENTRIES", budget):
+            report = check_structure(alg, trials=trials, seed=seed)
         expected = oracle_check_structure(alg, trials=trials, seed=seed)
         assert (report.assertions, report.failures, report.commutant_nullity) == (
             expected.assertions,
@@ -189,9 +210,46 @@ class TestCheckStructure:
             expected.commutant_nullity,
         )
 
+    @pytest.mark.parametrize("chain", [(1, 2, 3, 4, 5, 6), (2, 5, 8), (1, 4, 6, 7)])
+    def test_check_structure_lists_failures_as_the_oracle(self, chain, monkeypatch):
+        # a mask missing some admissible positions makes both p m pperp and the orbit maps fail in some trials;
+        # the basis units are cached first from the true mask, so the commutant is the algebra's own
+        alg = NestAlgebra(chain[-1], chain)
+        alg.unit_index()
+        mask = alg.pattern_mask().copy()
+        mask[0, -1] = mask[1, chain[0]] = False
+        monkeypatch.setattr(NestAlgebra, "pattern_mask", lambda self: mask)
+        monkeypatch.setattr(algebra, "_TRIAL_ENTRIES", 1 << 9)
+        report = check_structure(alg, trials=40, seed=4)
+        expected = oracle_check_structure(alg, trials=40, seed=4)
+        assert (report.assertions, report.failures, report.commutant_nullity) == (
+            expected.assertions,
+            expected.failures,
+            expected.commutant_nullity,
+        )
+        assert any("p m pperp" in f for f in report.failures) and any("orbit" in f for f in report.failures)
+
+    def test_trials_must_be_an_integer(self):
+        alg = NestAlgebra.triangular(3)
+        for trials in (2.5, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="trials must be an integer"):
+                check_structure(alg, trials=trials)
+        with pytest.raises(ValueError, match=">= 1"):
+            check_structure(alg, trials=0.0)
+        report = check_structure(alg, trials=3.0, seed=2)
+        assert report.trials == 3 and type(report.trials) is int
+        assert report.failures == check_structure(alg, trials=3, seed=2).failures == []
+        assert report.assertions == check_structure(alg, trials=3, seed=2).assertions
+
     def test_t32_without_the_kronecker_system(self):
         # the dense (units * n^2, n^2) system needed about 9 GB here
         report = check_structure(NestAlgebra.triangular(32), trials=5)
+        assert report.ok, report.failures
+        assert report.commutant_nullity == 1
+
+    def test_t64_with_the_default_trials(self):
+        # the dense n^2 x n^2 Gram matrix and its eigenvectors took 134 MB each here
+        report = check_structure(NestAlgebra.triangular(64))
         assert report.ok, report.failures
         assert report.commutant_nullity == 1
 

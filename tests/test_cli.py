@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nestderiv import cli
+from nestderiv import cli, construct, derivation
 from nestderiv.algebra import NestAlgebra
 from nestderiv.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, MAX_TABLE_BYTES, main
 from nestderiv.derivation import DerivationTable, validate
@@ -79,8 +79,9 @@ def test_value_scale_computed_once_per_call(tmp_path, monkeypatch, command):
     b_path = tmp_path / "b.json"
     b_path.write_text(json.dumps(read(report_path)["artifacts"]["b"]))
     calls = []
-    scale = DerivationTable.value_scale.fget
-    monkeypatch.setattr(DerivationTable, "value_scale", property(lambda self: calls.append(1) or scale(self)))
+    scale = derivation._value_scale
+    for module in (derivation, construct):
+        monkeypatch.setattr(module, "_value_scale", lambda values: calls.append(1) or scale(values))
     args = [command, "--input", str(table_path), "--generator", str(table_path) + ".generator.json"]
     if command == "verify":
         args += ["--b", str(b_path)]

@@ -480,6 +480,26 @@ class TestVerify:
         # equivalence: both failure signals are of the same order
         assert 0.1 < report.rule_max / report.residual_full < 10
 
+    def test_validate_and_verify_stack_the_table_once(self, rng, monkeypatch):
+        alg = NestAlgebra.triangular(4)
+        table = inner_from(alg, random_complex(rng, (4, 4)))
+        art = build_b(table, choices_for(alg, 2))
+        norms = norm_estimate(table)
+        calls = (
+            lambda: validate(table),
+            lambda: verify(table, art, norms=norms),
+            lambda: verify(table, art, tol=1e-9, norms=norms),
+            lambda: verify(table, art, norm_seed=3, generator=np.eye(4)),
+        )
+        expected = [call() for call in calls]
+        stacks = []
+        stacked = DerivationTable.stacked
+        monkeypatch.setattr(DerivationTable, "stacked", lambda self: stacks.append(1) or stacked(self))
+        for call, before in zip(calls, expected):
+            stacks.clear()
+            assert call() == before
+            assert len(stacks) == 1
+
     def test_pass_flags_use_the_table_tolerance(self, rng):
         alg = NestAlgebra.triangular(4)
         table = inner_from(alg, random_complex(rng, (4, 4)))
