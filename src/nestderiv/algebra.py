@@ -104,6 +104,10 @@ class NestAlgebra:
         """(ui, uj): row and column indices of the basis units in basis order, read-only and built once per chain."""
         return _basis(self)[1]
 
+    def unit_rows(self) -> np.ndarray:
+        """n x n array: the basis-order row of unit (i, j), -1 outside the pattern; read-only and built once per chain."""
+        return _basis(self)[2]
+
     def unit_matrix(self, u: MatrixUnit) -> np.ndarray:
         e = np.zeros((self.n, self.n), dtype=complex)
         e[u.i, u.j] = 1.0
@@ -120,11 +124,13 @@ def _pattern_mask(alg: NestAlgebra) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def _basis(alg: NestAlgebra) -> tuple:
-    """The basis units as a tuple and their read-only (ui, uj) index arrays."""
+    """The basis units as a tuple, their read-only (ui, uj) index arrays and the read-only (i, j) -> row map."""
     ui, uj = np.nonzero(alg.pattern_mask())
-    ui.setflags(write=False)
-    uj.setflags(write=False)
-    return tuple(MatrixUnit(i, j) for i, j in zip(ui.tolist(), uj.tolist())), (ui, uj)
+    rows = np.full((alg.n, alg.n), -1)
+    rows[ui, uj] = np.arange(len(ui))
+    for a in (ui, uj, rows):
+        a.setflags(write=False)
+    return tuple(MatrixUnit(i, j) for i, j in zip(ui.tolist(), uj.tolist())), (ui, uj), rows
 
 
 @dataclass

@@ -13,15 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import NestAlgebra
-from .derivation import (
-    DerivationTable,
-    NormEstimate,
-    _norm_estimate,
-    _residual_norms,
-    _value_scale,
-    evaluate,
-    rank_one_images,
-)
+from .derivation import DerivationTable, NormEstimate, commutator_residuals, evaluate, norm_estimate, rank_one_images
 from .linalg import _as_matrix, _as_vector, basis_vector, matrix_to_json, op_norm, scalar_identity_part
 
 
@@ -154,14 +146,9 @@ def _b1_family(table: DerivationTable, levels: list) -> list:
 
 def build_c1(table: DerivationTable, choices: ConstructionChoices) -> np.ndarray:
     """c1 = -p delta(p) p-perp; kills p and matches -delta(p) on p-perp."""
-    choices.validate(table.alg)
-    return _c1(table, choices.k)
-
-
-def _c1(table: DerivationTable, k: int) -> np.ndarray:
-    """build_c1 for the interior chain index k, unchecked."""
     alg = table.alg
-    p = alg.lattice_projection(k)
+    choices.validate(alg)
+    p = alg.lattice_projection(choices.k)
     pperp = np.eye(alg.n) - p
     return -p @ evaluate(table, p) @ pperp
 
@@ -177,11 +164,7 @@ def build_c2(table: DerivationTable, choices: ConstructionChoices, basis=None) -
     The result is independent of the basis (that is the linearity lemma,
     tested separately).
     """
-    return _c2(table, choices.validate(table.alg), choices, basis)
-
-
-def _c2(table: DerivationTable, d: int, choices: ConstructionChoices, basis=None) -> np.ndarray:
-    """build_c2 for choices already validated, with p of rank d."""
+    d = choices.validate(table.alg)
     n = table.alg.n
     xi0 = _as_vector(choices.xi0)
     eta1 = _as_vector(choices.eta1)
@@ -197,12 +180,11 @@ def _c2(table: DerivationTable, d: int, choices: ConstructionChoices, basis=None
 
 
 def build_b(table: DerivationTable, choices: ConstructionChoices) -> ConstructionArtifacts:
-    """Full pipeline: b = b1 + c1 + c2, with the choices validated once."""
-    d = choices.validate(table.alg)
-    b1 = _b1_family(table, [(d, _as_vector(choices.xi0))])[0]
-    c1 = _c1(table, choices.k)
+    """Full pipeline: b = b1 + c1 + c2."""
+    b1 = build_b1(table, choices)
+    c1 = build_c1(table, choices)
     b2 = b1 + c1
-    c2 = _c2(table, d, choices)
+    c2 = build_c2(table, choices)
     return ConstructionArtifacts(b1=b1, c1=c1, b2=b2, c2=c2, b=b2 + c2, choices=choices)
 
 
@@ -226,12 +208,9 @@ def triple_rule_residual(table: DerivationTable, choices: ConstructionChoices) -
     algebra, and if not, the construction itself is broken and an error
     propagates.
     """
-    return RuleResidual(max_residual=_rule_max(table, choices.validate(table.alg), choices))
-
-
-def _rule_max(table: DerivationTable, d: int, choices: ConstructionChoices) -> float:
-    """triple_rule_residual's largest residual for choices already validated, with p of rank d."""
-    n = table.alg.n
+    alg = table.alg
+    d = choices.validate(alg)
+    n = alg.n
     xi0 = _as_vector(choices.xi0)
     eta1 = _as_vector(choices.eta1)
     eye = np.eye(n)
@@ -250,8 +229,8 @@ def _rule_max(table: DerivationTable, d: int, choices: ConstructionChoices) -> f
     rhs[pairs, :, pa] = cols[pi]
     rhs[pairs, pi, :] += rows[pa - d]
     rhs[pairs, pi, pa] -= s
-    units = np.stack([table.values[u] for u in zip(pi.tolist(), pa.tolist())])
-    return float(np.linalg.norm(units - rhs, 2, axis=(1, 2)).max())
+    units = table.stacked()[alg.unit_rows()[pi, pa]]
+    return RuleResidual(max_residual=float(np.linalg.norm(units - rhs, 2, axis=(1, 2)).max()))
 
 
 def verify(
@@ -274,18 +253,17 @@ def verify(
     alg = table.alg
     choices = artifacts.choices
     d = choices.validate(alg)
-    values = table.stacked()
     if tol is None:
-        tol = table.tol * _value_scale(values)
+        tol = table.tol * table.value_scale
 
     ui, uj = alg.unit_index()
     psp = (ui < d) & (uj < d)
     corner = (ui >= d) & (uj >= d)
-    residual_b = _residual_norms(alg, values, artifacts.b)
-    residual_b2 = _residual_norms(alg, values, artifacts.b2, units=psp)
-    rule_max = _rule_max(table, d, choices)
+    residual_b = commutator_residuals(table, artifacts.b)
+    residual_b2 = commutator_residuals(table, artifacts.b2, units=psp)
+    rule_max = triple_rule_residual(table, choices).max_residual
 
-    estimate = norms if norms is not None else _norm_estimate(alg, values, seed=norm_seed, generator=generator)
+    estimate = norms if norms is not None else norm_estimate(table, seed=norm_seed, generator=generator)
     norm_data = {
         "b1": op_norm(artifacts.b1),
         "b2": op_norm(artifacts.b2),

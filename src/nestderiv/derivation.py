@@ -7,6 +7,8 @@ extrapolation.
 """
 
 import math
+import operator
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +29,7 @@ _CHUNK_ENTRIES = 1 << 20
 # bytes of terms per np.add.reduce in _image
 _IMAGE_BYTES = 1 << 18
 
-# values normed in the first chunk of _value_scale; each further chunk is twice as large
+# values normed in the first chunk of DerivationTable.value_scale; each further chunk is twice as large
 _SCALE_CHUNK = 8
 
 # SVDs the Newton iteration of distance_to_scalars may spend before it falls back: ~4 certify a smooth minimum,
@@ -49,35 +51,70 @@ def check_tol(tol: float) -> float:
     return tol
 
 
-def _value_scale(values: np.ndarray) -> float:
-    """1 + max operator norm over the stacked table values, the residual scale.
+class TableValues(MutableMapping):
+    """The values of a table: each basis unit of alg mapped to its row of one (units, n, n) complex array.
 
-    An operator norm is at most the Frobenius norm F, so the values are
-    normed in descending F order, in chunks of doubling size, until F of
-    the next value, times 1 + 1e-10 for rounding, is below the largest
-    operator norm found.  Every value left over has a smaller norm, so the
-    maximum is the one over all values, to the bit.
+    The rows are in basis order.  Reading a unit gives a read-only view of its
+    row.  Assigning a unit checks what the table constructor checks, a basis
+    unit key (KeyError), an n x n value (DimensionError) and finite entries
+    (ValueError), before it writes the row, so a rejected value leaves the
+    table as it was.  A unit cannot be deleted.
     """
-    frobenius = np.linalg.norm(values, axis=(1, 2))
-    order = np.argsort(-frobenius, kind="stable")
-    best, start, step = 0.0, 0, _SCALE_CHUNK
-    while start < len(order) and not frobenius[order[start]] * (1 + 1e-10) < best:
-        chunk = order[start : start + step]
-        best = max(best, float(np.linalg.norm(values[chunk], 2, axis=(1, 2)).max()))
-        start, step = start + step, 2 * step
-    return 1.0 + best
+
+    def __init__(self, alg: NestAlgebra):
+        self._alg = alg
+        self._array = np.zeros((len(alg.unit_index()[0]), alg.n, alg.n), dtype=complex)
+        self._view = self._array.view()
+        self._view.setflags(write=False)
+
+    def _row(self, unit) -> int:
+        """The row of the basis unit (i, j); KeyError for any other key."""
+        n = self._alg.n
+        try:
+            i, j = (operator.index(x) for x in unit)
+        except (TypeError, ValueError):
+            i = j = n
+        row = int(self._alg.unit_rows()[i, j]) if 0 <= i < n and 0 <= j < n else -1
+        if row < 0:
+            raise KeyError(f"{unit!r} is not a basis unit of chain {self._alg.chain}")
+        return row
+
+    def __getitem__(self, unit) -> np.ndarray:
+        return self._view[self._row(unit)]
+
+    def __setitem__(self, unit, value):
+        row = self._row(unit)
+        value = _as_matrix(value)
+        n = self._alg.n
+        if value.shape != (n, n):
+            raise DimensionError(f"value for {tuple(unit)} has shape {value.shape}, expected {(n, n)}")
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"non-finite value for unit {tuple(unit)}")
+        self._array[row] = value
+
+    def __delitem__(self, unit):
+        raise TypeError("a table holds a value for every basis unit; assign the unit a new value instead")
+
+    def __iter__(self):
+        return iter(self._alg.basis_units())
+
+    def __len__(self) -> int:
+        return len(self._array)
 
 
 @dataclass
 class DerivationTable:
-    """delta given by its values on the basis units of alg."""
+    """delta given by its values on the basis units of alg.
+
+    values may be given as any mapping from the basis units to n x n
+    matrices; it is stored as a TableValues.
+    """
 
     alg: NestAlgebra
-    values: dict
+    values: MutableMapping
     tol: float = 1e-9
 
     def __post_init__(self):
-        n = self.alg.n
         check_tol(self.tol)
         given = {tuple(k): v for k, v in self.values.items()}
         basis = self.alg.basis_units()
@@ -87,30 +124,39 @@ class DerivationTable:
                 f"table entries must be the basis units of chain {self.alg.chain}: "
                 f"missing {sorted(units - given.keys())[:4]}, not basis units {sorted(given.keys() - units)[:4]}"
             )
-        # stored in basis order, whatever the order given, so sums over the values run in basis order
-        clean = {}
+        values = TableValues(self.alg)
         for u in basis:
-            val = _as_matrix(given[u])
-            if val.shape != (n, n):
-                raise DimensionError(f"value for {tuple(u)} has shape {val.shape}, expected {(n, n)}")
-            if not np.all(np.isfinite(val)):
-                raise ValueError(f"non-finite value for unit {tuple(u)}")
-            clean[u] = val
-        self.values = clean
+            values[u] = given[u]
+        self.values = values
 
     def stacked(self) -> np.ndarray:
-        """The values as one (units, n, n) array, units in basis order."""
-        return np.stack([self.values[u] for u in self.alg.basis_units()])
+        """The values as one read-only (units, n, n) array, units in basis order: the table's own array, not a copy."""
+        return self.values._view
 
     @property
     def value_scale(self) -> float:
-        """1 + max operator norm over the table, the residual scale (see _value_scale)."""
-        return _value_scale(self.stacked())
+        """1 + max operator norm over the table values, the residual scale.
+
+        An operator norm is at most the Frobenius norm F, so the values are
+        normed in descending F order, in chunks of doubling size, until F of
+        the next value, times 1 + 1e-10 for rounding, is below the largest
+        operator norm found.  Every value left over has a smaller norm, so the
+        maximum is the one over all values, to the bit.
+        """
+        values = self.stacked()
+        frobenius = np.linalg.norm(values, axis=(1, 2))
+        order = np.argsort(-frobenius, kind="stable")
+        best, start, step = 0.0, 0, _SCALE_CHUNK
+        while start < len(order) and not frobenius[order[start]] * (1 + 1e-10) < best:
+            chunk = order[start : start + step]
+            best = max(best, float(np.linalg.norm(values[chunk], 2, axis=(1, 2)).max()))
+            start, step = start + step, 2 * step
+        return 1.0 + best
 
     def to_json(self) -> dict:
         entries = [
-            {"i": int(u.i), "j": int(u.j), "value": matrix_to_json(self.values[u])}
-            for u in sorted(self.values)
+            {"i": int(u.i), "j": int(u.j), "value": matrix_to_json(value)}
+            for u, value in self.values.items()
         ]
         return {
             "algebra": {"n": self.alg.n, "chain": list(self.alg.chain)},
@@ -183,12 +229,7 @@ def commutator_residuals(table: DerivationTable, x, p=None, units=None) -> np.nd
     units, a boolean mask or index array over the basis units, limits the
     norms to those units.
     """
-    return _residual_norms(table.alg, table.stacked(), x, p, units)
-
-
-def _residual_norms(alg: NestAlgebra, values: np.ndarray, x, p=None, units=None) -> np.ndarray:
-    """commutator_residuals on the stacked table values."""
-    residual = values - unit_commutators(alg, x)
+    residual = table.stacked() - unit_commutators(table.alg, x)
     if units is not None:
         residual = residual[units]
     if p is not None:
@@ -227,7 +268,7 @@ def validate(table: DerivationTable) -> ValidationReport:
     units = alg.basis_units()
     ui, uj = alg.unit_index()
     values = table.stacked()
-    scaled_tol = table.tol * _value_scale(values)
+    scaled_tol = table.tol * table.value_scale
     rows = np.arange(len(units))
     coords = np.arange(n)
 
@@ -241,9 +282,7 @@ def validate(table: DerivationTable) -> ValidationReport:
     residual = 0.5 * (np.hypot(corner, a + b) + np.hypot(corner, a - b))
 
     pu, pv = np.nonzero(uj[:, None] == ui[None, :])
-    index = np.zeros((n, n), dtype=int)
-    index[ui, uj] = rows
-    pw = index[ui[pu], uj[pv]]
+    pw = alg.unit_rows()[ui[pu], uj[pv]]
     step = max(1, _CHUNK_ENTRIES // (n * n))
     for start in range(0, len(pu), step):
         u, v, w = pu[start : start + step], pv[start : start + step], pw[start : start + step]
@@ -271,24 +310,27 @@ def _combine(coeffs: np.ndarray, values, n: int) -> np.ndarray:
     """sum over u of coeffs[:, u] * values[u]: one n x n sum per row of coeffs.
 
     The terms are added onto zeros one unit at a time, in the order of values,
-    each to the rows where its coefficient is nonzero.  A zero coefficient
-    would add a signed zero, which leaves a sum begun at +0.0 as it is, so
-    every row gets the same bits as that row's sum taken alone.
+    each to the rows where its coefficient is nonzero, and a unit whose
+    coefficients are all zero is skipped.  A zero coefficient would add a
+    signed zero, which leaves a sum begun at +0.0 as it is, so every row gets
+    the same bits as that row's sum taken alone.
     """
     out = np.zeros((len(coeffs), n, n), dtype=complex)
     if not len(coeffs):
         return out
     nonzero = coeffs != 0
-    counts, first = nonzero.sum(axis=0).tolist(), nonzero.argmax(axis=0).tolist()
-    for column, value, count, row in zip(coeffs.T, values, counts, first):
+    counts = nonzero.sum(axis=0)
+    live = np.flatnonzero(counts)
+    for u, count, row in zip(live.tolist(), counts[live].tolist(), nonzero.argmax(axis=0)[live].tolist()):
+        column = coeffs[:, u]
         if count == 1:
             # scalar coefficient: numpy multiplies two one-element complex arrays (n = 1) by a loop that rounds differently
-            out[row] += column[row] * value
-        elif count == len(column):
-            out += column[:, None, None] * value
-        elif count:
+            out[row] += column[row] * values[u]
+        elif count == len(coeffs):
+            out += column[:, None, None] * values[u]
+        else:
             rows = np.flatnonzero(column)
-            out[rows] += column[rows, None, None] * value
+            out[rows] += column[rows, None, None] * values[u]
     return out
 
 
@@ -312,7 +354,7 @@ def _image(coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def evaluate(table: DerivationTable, a) -> np.ndarray:
-    """delta(a) = sum over admissible units of a_ij * delta(E_ij), the nonzero a_ij in basis order.
+    """delta(a) = sum over admissible units of a_ij * delta(E_ij), in basis order, units with a_ij = 0 skipped.
 
     a must lie in the algebra (within the table tolerance).
     """
@@ -320,13 +362,11 @@ def evaluate(table: DerivationTable, a) -> np.ndarray:
     alg = table.alg
     if a.shape != (alg.n, alg.n):
         raise DimensionError(f"expected {alg.n}x{alg.n}, got {a.shape}")
-    mask = alg.pattern_mask()
     # entries below the pattern that are all exactly zero pass at any tolerance, so only others need the SVD
-    if np.any(a[~mask]) and not alg.contains(a, tol=table.tol * max(1.0, op_norm(a))):
+    if np.any(a[~alg.pattern_mask()]) and not alg.contains(a, tol=table.tol * max(1.0, op_norm(a))):
         raise EvaluationDomainError("derivation undefined outside S")
-    rows, cols = np.nonzero(np.where(mask, a, 0))
-    values = [table.values[u] for u in zip(rows.tolist(), cols.tolist())]
-    return _combine(a[None, rows, cols], values, alg.n)[0]
+    ui, uj = alg.unit_index()
+    return _combine(a[None, ui, uj], table.stacked(), alg.n)[0]
 
 
 def rank_one_images(table: DerivationTable, etas, xis) -> np.ndarray:
@@ -334,9 +374,10 @@ def rank_one_images(table: DerivationTable, etas, xis) -> np.ndarray:
 
     Row m is bit-identical to evaluate(table, rank_one(xis[m], etas[m])).  The
     coefficients eta_i conj(xi_j) are formed as np.outer forms them, and one
-    _combine adds the terms of every unit whose coefficient is nonzero in some
-    row, in basis order, onto zeros.  A unit whose coefficient is zero in row m
-    adds a signed zero there, which leaves that row's sum as it is.  An element
+    _combine adds the terms of every unit, in basis order, onto zeros; a unit
+    whose coefficient is zero in every row adds nothing.  A unit whose
+    coefficient is zero in row m only adds a signed zero there, which leaves
+    that row's sum as it is.  An element
     with an entry below the pattern above tol * max(1, |eta_m| |xi_m|), its
     operator norm being |eta_m| |xi_m|, raises EvaluationDomainError.
     """
@@ -351,10 +392,7 @@ def rank_one_images(table: DerivationTable, etas, xis) -> np.ndarray:
         if np.any(below.max(axis=1) > bound):
             raise EvaluationDomainError("derivation undefined outside S")
     ui, uj = alg.unit_index()
-    coeffs = outer[:, ui, uj]
-    live = np.flatnonzero(coeffs.any(axis=0))
-    units = alg.basis_units()
-    return _combine(coeffs[:, live], [table.values[units[u]] for u in live], alg.n)
+    return _combine(outer[:, ui, uj], table.stacked(), alg.n)
 
 
 def _dual_bound(a, x) -> float:
@@ -497,14 +535,11 @@ def norm_estimate(table: DerivationTable, samples: int = 32, seed: int = 0, gene
     about 4 SVDs; a kink (a normal c) falls back to the ellipsoid method's
     own certificate.
     """
-    return _norm_estimate(table.alg, table.stacked(), samples, seed, generator)
-
-
-def _norm_estimate(alg: NestAlgebra, values: np.ndarray, samples: int = 32, seed: int = 0, generator=None) -> NormEstimate:
-    """norm_estimate on the stacked table values."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
+    alg = table.alg
+    values = table.stacked()
     n = alg.n
     mask = alg.pattern_mask()
     ui, uj = alg.unit_index()

@@ -50,7 +50,12 @@ class TestNestAlgebra:
         assert [tuple(u) for u in units] == list(zip(ui.tolist(), uj.tolist()))
         assert all(type(u) is MatrixUnit for u in units)
         assert NestAlgebra(alg.n, chain).unit_index()[0] is ui
-        for index in (ui, uj):
+        # unit_rows inverts the index: the basis-order row of each unit, -1 off the pattern
+        rows = alg.unit_rows()
+        assert np.array_equal(rows[ui, uj], np.arange(len(ui)))
+        assert np.array_equal(rows >= 0, alg.pattern_mask())
+        assert NestAlgebra(alg.n, chain).unit_rows() is rows
+        for index in (ui, uj, rows):
             with pytest.raises(ValueError, match="read-only"):
                 index[0] = 1
         # basis_units still hands out a list of its own

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nestderiv import cli, construct, derivation
+from nestderiv import cli
 from nestderiv.algebra import NestAlgebra
 from nestderiv.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, MAX_TABLE_BYTES, main
 from nestderiv.derivation import DerivationTable, validate
@@ -43,11 +43,11 @@ def test_generate_refuses_oversized_table_before_allocating(tmp_path, capsys, mo
     def refuse(*args):
         raise AssertionError("called before the size check")
 
-    monkeypatch.setattr(NestAlgebra, "basis_units", refuse)
     out = tmp_path / "huge.json"
     capsys.readouterr()
     with monkeypatch.context() as patch:
         # not even the default chain 1..n is built
+        patch.setattr(NestAlgebra, "basis_units", refuse)
         patch.setattr(cli, "_parse_chain", refuse)
         assert main(["generate", "--n", "2000", "--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: a table for n=2000 ")
@@ -57,11 +57,9 @@ def test_generate_refuses_oversized_table_before_allocating(tmp_path, capsys, mo
 
 
 def test_table_size_guard_counts_units_exactly():
-    for alg in (NestAlgebra.triangular(4), NestAlgebra.triangular(16), NestAlgebra(12, (3, 7, 12)), NestAlgebra(5, (5,))):
-        assert cli._unit_count(alg) == len(alg.basis_units())
     # the README's sizes, T_4 to T_32, and T_64 stay under the limit
     for n in (4, 16, 32, 64):
-        assert cli._unit_count(NestAlgebra.triangular(n)) * n * n * 16 <= MAX_TABLE_BYTES
+        assert len(NestAlgebra.triangular(n).basis_units()) * n * n * 16 <= MAX_TABLE_BYTES
 
 
 def test_generate_t16_unaffected_by_size_guard(tmp_path):
@@ -79,9 +77,8 @@ def test_value_scale_computed_once_per_call(tmp_path, monkeypatch, command):
     b_path = tmp_path / "b.json"
     b_path.write_text(json.dumps(read(report_path)["artifacts"]["b"]))
     calls = []
-    scale = derivation._value_scale
-    for module in (derivation, construct):
-        monkeypatch.setattr(module, "_value_scale", lambda values: calls.append(1) or scale(values))
+    scale = DerivationTable.value_scale.fget
+    monkeypatch.setattr(DerivationTable, "value_scale", property(lambda table: calls.append(1) or scale(table)))
     args = [command, "--input", str(table_path), "--generator", str(table_path) + ".generator.json"]
     if command == "verify":
         args += ["--b", str(b_path)]

@@ -247,17 +247,6 @@ class TestBuildB:
         with pytest.raises(ValueError, match="p-perp"):
             verify(table, ConstructionArtifacts(art.b1, art.c1, art.b2, art.c2, art.b, bad))
 
-    def test_build_b_and_verify_validate_once(self, rng, monkeypatch):
-        alg = NestAlgebra.triangular(4)
-        table = inner_from(alg, random_complex(rng, (4, 4)))
-        calls = []
-        validate_choices = ConstructionChoices.validate
-        monkeypatch.setattr(ConstructionChoices, "validate", lambda self, alg: calls.append(self) or validate_choices(self, alg))
-        art = build_b(table, choices_for(alg, 2))
-        assert len(calls) == 1
-        verify(table, art)
-        assert len(calls) == 2
-
 
 class TestDefaultChoices:
     def test_midpoint_projection(self):
@@ -479,26 +468,6 @@ class TestVerify:
         assert report.rule_max >= 1e-4
         # equivalence: both failure signals are of the same order
         assert 0.1 < report.rule_max / report.residual_full < 10
-
-    def test_validate_and_verify_stack_the_table_once(self, rng, monkeypatch):
-        alg = NestAlgebra.triangular(4)
-        table = inner_from(alg, random_complex(rng, (4, 4)))
-        art = build_b(table, choices_for(alg, 2))
-        norms = norm_estimate(table)
-        calls = (
-            lambda: validate(table),
-            lambda: verify(table, art, norms=norms),
-            lambda: verify(table, art, tol=1e-9, norms=norms),
-            lambda: verify(table, art, norm_seed=3, generator=np.eye(4)),
-        )
-        expected = [call() for call in calls]
-        stacks = []
-        stacked = DerivationTable.stacked
-        monkeypatch.setattr(DerivationTable, "stacked", lambda self: stacks.append(1) or stacked(self))
-        for call, before in zip(calls, expected):
-            stacks.clear()
-            assert call() == before
-            assert len(stacks) == 1
 
     def test_pass_flags_use_the_table_tolerance(self, rng):
         alg = NestAlgebra.triangular(4)

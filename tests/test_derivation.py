@@ -170,6 +170,54 @@ class TestDerivationTable:
         a[~alg.pattern_mask()] = 0
         assert np.array_equal(evaluate(table, a), oracle_evaluate(table, a))
 
+    def test_assignment_is_checked_and_leaves_the_table_unchanged(self, rng):
+        alg = NestAlgebra.triangular(4)
+        table = inner_from(alg, random_complex(rng, (4, 4)))
+        before = table.stacked().copy()
+        inf = np.zeros((4, 4))
+        inf[1, 2] = np.inf
+        cases = [
+            ((3, 0), np.zeros((4, 4)), KeyError),  # below the pattern
+            ((4, 4), np.zeros((4, 4)), KeyError),  # out of range
+            ((-1, 3), np.zeros((4, 4)), KeyError),  # negative, which would wrap onto unit (3, 3)
+            ((0, 1, 2), np.zeros((4, 4)), KeyError),
+            ("01", np.zeros((4, 4)), KeyError),
+            ((0.5, 1), np.zeros((4, 4)), KeyError),
+            ((0, 1), inf, ValueError),
+            ((0, 1), np.full((4, 4), np.nan), ValueError),
+            ((0, 1), np.zeros((3, 3)), DimensionError),
+            ((0, 1), np.zeros(4), DimensionError),
+        ]
+        for key, value, error in cases:
+            with pytest.raises(error):
+                table.values[key] = value
+            assert np.array_equal(table.stacked(), before)
+            assert (key in table.values) == (error is not KeyError)
+        with pytest.raises(TypeError):
+            del table.values[(0, 1)]
+        assert len(table.values) == 10 and validate(table).ok
+        assert DerivationTable.from_json(table.to_json()).stacked().tobytes() == before.tobytes()
+
+    def test_stacked_and_values_share_the_table_array(self, rng):
+        alg = NestAlgebra(6, (2, 3, 6))
+        table = inner_from(alg, random_complex(rng, (6, 6)))
+        stacked = table.stacked()
+        assert stacked.shape == (len(alg.basis_units()), 6, 6)
+        assert np.shares_memory(stacked, table.stacked())
+        for u in alg.basis_units():
+            assert np.shares_memory(table.values[u], stacked)
+            assert not table.values[u].flags.writeable
+        assert not stacked.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            stacked[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            table.values[(0, 0)][0, 0] = 1.0
+        # an assignment writes the row that earlier views see; a table built from another's values copies them
+        copy = DerivationTable(alg, table.values)
+        table.values[(0, 4)] = np.eye(6)
+        assert np.array_equal(stacked[alg.unit_rows()[0, 4]], np.eye(6))
+        assert not np.shares_memory(copy.stacked(), stacked) and not np.array_equal(copy.values[(0, 4)], np.eye(6))
+
 
 class TestValidate:
     def test_zero_table_valid(self):
@@ -597,8 +645,12 @@ def test_json_roundtrip(rng):
     alg = NestAlgebra(3, (1, 3))
     table = inner_from(alg, random_complex(rng, (3, 3)))
     table.tol = 1e-8
+    # assigned values, with a numpy-integer key and signed zeros, are written out like the others
+    value = random_complex(rng, (3, 3))
+    table.values[(1, 2)] = value
+    table.values[np.int64(0), np.int64(0)] = -0.0 * value
     restored = DerivationTable.from_json(table.to_json())
     assert restored.alg == alg
     assert restored.tol == 1e-8
-    for u in alg.basis_units():
-        assert np.allclose(restored.values[u], table.values[u], atol=1e-15)
+    assert np.array_equal(restored.values[(1, 2)], value)
+    assert restored.stacked().tobytes() == table.stacked().tobytes()

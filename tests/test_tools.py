@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "cli_fileset.py"
@@ -7,7 +8,7 @@ cli_fileset = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(cli_fileset)
 
 
-def test_cli_fileset_writes_and_compares_the_smoke_set(tmp_path):
+def test_cli_fileset_writes_and_compares_the_smoke_set(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         assert cli_fileset.main([str(out), "--size", "smoke"]) == 0
@@ -21,4 +22,38 @@ def test_cli_fileset_writes_and_compares_the_smoke_set(tmp_path):
     report.write_bytes(report.read_bytes().replace(b"1", b"2", 1))
     (b / "verify-t.json").unlink()
     assert cli_fileset.compare(a, b) == ["chain-c.json", "verify-t.json"]
+    capsys.readouterr()
     assert cli_fileset.main(["--compare", str(a), str(b)]) == 1
+    # the first "1" of the report is the leading digit of the real part of entry 4 of the first member's b
+    was, now = (json.loads((out / "chain-c.json").read_text())["family"][0]["b"]["data"][4][0] for out in (a, b))
+    assert str(was)[0] == "1" and str(now)[0] == "2"
+    assert capsys.readouterr().out.splitlines() == [
+        f"chain-c.json: family[0].b.data[4][0]: {was!r} != {now!r}",
+        f"verify-t.json: only in {a}",
+        "2 of the files differ",
+    ]
+
+
+def test_first_difference_names_the_key_path_and_both_values():
+    first = cli_fileset.first_difference
+    assert first({"a": [1, {"b": 2.5}]}, {"a": [1, {"b": 2.5}]}) is None
+    assert first({"a": [1, {"b": 2.5}]}, {"a": [1, {"b": 3.5}]}) == "a[1].b: 2.5 != 3.5"
+    # keys in sorted order, whatever the order in the file; a missing key, a length and a type count
+    assert first({"z": 1, "a": {"x": 0}}, {"a": {"x": 1}, "z": 2}) == "a.x: 0 != 1"
+    assert first({"a": 1}, {"a": 1, "b": "s"}) == 'b: missing != "s"'
+    assert first({"a": [1, 2]}, {"a": [1]}) == "a: length 2 != 1"
+    assert first({"a": 1}, {"a": 1.0}) == "a: 1 != 1.0"
+    assert first([0], [[0]]) == "[0]: 0 != [0]"
+    assert first(1, 2) == ".: 1 != 2"
+    assert first({"a": "x" * 100}, {"a": "y"}) == f'a: "{"x" * 56}... != "y"'
+
+
+def test_describe_reports_bytes_that_hold_the_same_json(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out, text in ((a, '{"a": 1}'), (b, '{"a":1}')):
+        out.mkdir()
+        (out / "r.json").write_text(text)
+        (out / "t.txt").write_text(text + str(out))
+    assert cli_fileset.compare(a, b) == ["r.json", "t.txt"]
+    assert cli_fileset.describe(a, b, "r.json") == "r.json: bytes differ, JSON values equal"
+    assert cli_fileset.describe(a, b, "t.txt") == "t.txt: bytes differ (not JSON)"

@@ -13,10 +13,12 @@ exit 0.  ``--size smoke`` runs the same commands on T_4 and chain (1, 3, 4).
 The package is imported from the ``src`` directory next to ``tools``, so a
 copy of this file placed in another checkout writes that checkout's set.
 
-The second form compares two such directories file by file and exits 1,
-naming the files, unless they hold the same names with byte-identical
-contents.  Every report is deterministic for fixed arguments and seed, so a
-change that should not move any result must leave the set byte-identical.
+The second form compares two such directories file by file and exits 1
+unless they hold the same names with byte-identical contents.  For each
+differing JSON file it names the first differing key path and both values,
+as in ``chain-c.json: family[0].b.data[3][0]: 0.12 != 0.22``.  Every report
+is deterministic for fixed arguments and seed, so a change that should not
+move any result must leave the set byte-identical.
 """
 
 import argparse
@@ -85,6 +87,45 @@ def compare(a: Path, b: Path) -> list:
     ]
 
 
+def _short(value) -> str:
+    text = json.dumps(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def first_difference(x, y, path: str = "") -> str | None:
+    """'path: x != y' at the first key path, keys in sorted order, where the JSON values x and y differ; None if equal."""
+    if isinstance(x, dict) and isinstance(y, dict):
+        for key in sorted(x.keys() | y.keys()):
+            where = f"{path}.{key}" if path else key
+            if key not in x or key not in y:
+                left, right = (_short(side[key]) if key in side else "missing" for side in (x, y))
+                return f"{where}: {left} != {right}"
+            found = first_difference(x[key], y[key], where)
+            if found:
+                return found
+        return None
+    if isinstance(x, list) and isinstance(y, list):
+        for index, (u, v) in enumerate(zip(x, y)):
+            found = first_difference(u, v, f"{path}[{index}]")
+            if found:
+                return found
+        return None if len(x) == len(y) else f"{path or '.'}: length {len(x)} != {len(y)}"
+    if type(x) is type(y) and x == y:
+        return None
+    return f"{path or '.'}: {_short(x)} != {_short(y)}"
+
+
+def describe(a: Path, b: Path, name: str) -> str:
+    """What differs in the file name of directories a and b: absence, the first differing JSON value, or bytes."""
+    if not (a / name).is_file() or not (b / name).is_file():
+        return f"{name}: only in {a if (a / name).is_file() else b}"
+    try:
+        found = first_difference(json.loads((a / name).read_text()), json.loads((b / name).read_text()))
+    except ValueError:
+        return f"{name}: bytes differ (not JSON)"
+    return f"{name}: {found or 'bytes differ, JSON values equal'}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("outdir", nargs="?", type=Path)
@@ -94,7 +135,7 @@ def main(argv=None) -> int:
     if args.compare:
         differ = compare(*args.compare)
         for name in differ:
-            print(f"differs: {name}")
+            print(describe(*args.compare, name))
         print(f"{len(differ)} of the files differ")
         return 1 if differ else 0
     if args.outdir is None:
