@@ -14,8 +14,8 @@ import numpy as np
 
 from .algebra import NestAlgebra
 from .construct import ConstructionChoices, _b1_family, default_choices
-from .derivation import DerivationTable, commutator_residuals
-from .linalg import matrix_to_json
+from .derivation import DerivationTable, unit_commutators
+from .linalg import _max_op_norm, matrix_to_json
 
 
 @dataclass
@@ -98,5 +98,5 @@ def stabilized_b(family: ChainFamily) -> np.ndarray:
 
 
 def implements_on_projection(table: DerivationTable, b: np.ndarray, k: int) -> float:
-    """max over basis units u of op_norm((delta(u) - [b, u]) p) for p at level k."""
-    return float(commutator_residuals(table, b, table.alg.lattice_projection(k)).max())
+    """max over basis units u of op_norm((delta(u) - [b, u]) p) for p at level k, by _max_op_norm."""
+    return _max_op_norm((table.stacked() - unit_commutators(table.alg, b)) @ table.alg.lattice_projection(k))[0]

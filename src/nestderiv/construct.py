@@ -8,13 +8,13 @@ residual whose vanishing is equivalent to b implementing the derivation on
 all of the algebra.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import NestAlgebra
-from .derivation import DerivationTable, NormEstimate, commutator_residuals, evaluate, norm_estimate, rank_one_images
-from .linalg import _as_matrix, _as_vector, basis_vector, matrix_to_json, op_norm, scalar_identity_part
+from .derivation import DerivationTable, NormEstimate, evaluate, norm_estimate, rank_one_images, unit_commutators
+from .linalg import _as_matrix, _as_vector, _max_op_norm, basis_vector, matrix_to_json, op_norm, scalar_identity_part
 
 
 @dataclass(frozen=True)
@@ -56,13 +56,27 @@ class ConstructionArtifacts:
 
 @dataclass
 class RuleResidual:
-    """Largest triple-product-rule residual over the (p-perp basis index, p basis index) pairs."""
+    """Largest triple-product-rule residual over the (p-perp basis index, p basis index) pairs.
+
+    unit is the basis unit (i, a) of the first pair, a outermost, that reaches it.
+    """
 
     max_residual: float
+    unit: tuple | None = None
+
+
+# the residuals whose maximum each theorem's pass flag compares with tol
+_THEOREM_RESIDUALS = {
+    "thm11": ("residual_pSp",),
+    "thm12": ("residual_pSp", "residual_corner"),
+    "thm13": ("residual_full", "rule_max"),
+}
 
 
 @dataclass
 class VerificationReport:
+    """Residuals, norms and gauge of a verification; worst_units maps each residual to the basis unit reaching it."""
+
     residual_pSp: float
     residual_corner: float
     residual_full: float
@@ -70,18 +84,27 @@ class VerificationReport:
     norms: dict
     gauge: tuple | None
     tol: float
+    worst_units: dict = field(default_factory=dict)
 
     @property
     def thm11_ok(self) -> bool:
-        return self.residual_pSp <= self.tol
+        return self.failure("thm11") is None
 
     @property
     def thm12_ok(self) -> bool:
-        return max(self.residual_pSp, self.residual_corner) <= self.tol
+        return self.failure("thm12") is None
 
     @property
     def thm13_ok(self) -> bool:
-        return max(self.residual_full, self.rule_max) <= self.tol
+        return self.failure("thm13") is None
+
+    def failure(self, theorem: str) -> str | None:
+        """None if theorem passes, else its largest residual, the tolerance and the unit reaching that residual."""
+        name = max(_THEOREM_RESIDUALS[theorem], key=lambda residual: getattr(self, residual))
+        value = getattr(self, name)
+        if value <= self.tol:
+            return None
+        return f"{theorem} {name} {value:.3e} > tol {self.tol:.3e} at unit {self.worst_units.get(name)}"
 
     def to_json(self) -> dict:
         gauge = None
@@ -203,7 +226,7 @@ def triple_rule_residual(table: DerivationTable, choices: ConstructionChoices) -
     With q = E_ia, q q_a* q1 = e_i xi0^H, so the right side is col_i (the b1
     column delta(e_i xi0^H) xi0) in column a, plus row_a = eta1^H delta(q_a)
     in row i, minus s = eta1^H delta(q1) xi0 at (i, a).  It is written onto
-    zeros in that order, and every pair is normed by one batched SVD.  The
+    zeros in that order, and the maximum is taken by _max_op_norm.  The
     images come from one rank_one_images call; every argument lies in the
     algebra, and if not, the construction itself is broken and an error
     propagates.
@@ -230,7 +253,8 @@ def triple_rule_residual(table: DerivationTable, choices: ConstructionChoices) -
     rhs[pairs, pi, :] += rows[pa - d]
     rhs[pairs, pi, pa] -= s
     units = table.stacked()[alg.unit_rows()[pi, pa]]
-    return RuleResidual(max_residual=float(np.linalg.norm(units - rhs, 2, axis=(1, 2)).max()))
+    worst, index, _ = _max_op_norm(np.subtract(units, rhs, out=rhs))
+    return RuleResidual(max_residual=worst, unit=(int(pi[index]), int(pa[index])))
 
 
 def verify(
@@ -249,6 +273,10 @@ def verify(
     bounds, and (when the inner generator is known) the gauge scalar by which
     b differs from it.  The pass flags compare against tol, by default the
     table tolerance scaled like validate's: table.tol * table.value_scale.
+    Each residual is a maximum from _max_op_norm, which takes SVDs only of the
+    units that can reach it, and worst_units names the first unit in basis
+    order that reaches it: on pSp, b2's first, then b's; for rule_max, the
+    first in triple_rule_residual's pair order.
     """
     alg = table.alg
     choices = artifacts.choices
@@ -256,12 +284,21 @@ def verify(
     if tol is None:
         tol = table.tol * table.value_scale
 
+    rule = triple_rule_residual(table, choices)
     ui, uj = alg.unit_index()
-    psp = (ui < d) & (uj < d)
-    corner = (ui >= d) & (uj >= d)
-    residual_b = commutator_residuals(table, artifacts.b)
-    residual_b2 = commutator_residuals(table, artifacts.b2, units=psp)
-    rule_max = triple_rule_residual(table, choices).max_residual
+    psp, corner = np.flatnonzero((ui < d) & (uj < d)), np.flatnonzero((ui >= d) & (uj >= d))
+
+    def defects(x):
+        """delta(E_u) - [x, E_u] for every basis unit, written over the commutators."""
+        out = unit_commutators(alg, x)
+        return np.subtract(table.stacked(), out, out=out)
+
+    # each maximum with its first index; on pSp b2's defects come before b's, and max keeps the first
+    on_b2 = _max_op_norm(defects(artifacts.b2)[psp])[:2]
+    defect_b = defects(artifacts.b)
+    residual_pSp, at_pSp = max(on_b2, _max_op_norm(defect_b[psp])[:2], key=lambda found: found[0])
+    residual_corner, at_corner, _ = _max_op_norm(defect_b[corner])
+    residual_full, at_full, _ = _max_op_norm(defect_b)
 
     estimate = norms if norms is not None else norm_estimate(table, seed=norm_seed, generator=generator)
     norm_data = {
@@ -276,14 +313,21 @@ def verify(
     if generator is not None:
         gauge = scalar_identity_part(artifacts.b - _as_matrix(generator))
 
+    units = alg.basis_units()
     return VerificationReport(
-        residual_pSp=float(max(residual_b2.max(initial=0.0), residual_b[psp].max(initial=0.0))),
-        residual_corner=float(residual_b[corner].max(initial=0.0)),
-        residual_full=float(residual_b.max()),
-        rule_max=rule_max,
+        residual_pSp=residual_pSp,
+        residual_corner=residual_corner,
+        residual_full=residual_full,
+        rule_max=rule.max_residual,
         norms=norm_data,
         gauge=gauge,
         tol=tol,
+        worst_units={
+            "residual_pSp": tuple(units[psp[at_pSp]]),
+            "residual_corner": tuple(units[corner[at_corner]]),
+            "residual_full": tuple(units[at_full]),
+            "rule_max": rule.unit,
+        },
     )
 
 

@@ -17,6 +17,7 @@ from .algebra import NestAlgebra
 from .linalg import (
     DimensionError,
     _as_matrix,
+    _max_op_norm,
     matrix_from_json,
     matrix_to_json,
     op_norm,
@@ -29,15 +30,19 @@ _CHUNK_ENTRIES = 1 << 20
 # bytes of terms per np.add.reduce in _image
 _IMAGE_BYTES = 1 << 18
 
-# values normed in the first chunk of DerivationTable.value_scale; each further chunk is twice as large
-_SCALE_CHUNK = 8
-
 # SVDs the Newton iteration of distance_to_scalars may spend before it falls back: ~4 certify a smooth minimum,
 # and with the final op_norm a certified call takes at most 12
 _NEWTON_SVDS = 11
 
 # backstop on the cuts of the fallback ellipsoid method: ~110 reach its gap at a smooth minimum, ~220 at a kink
 _MAX_CUTS = 500
+
+# first-order steps norm_estimate's ascent takes at most, and the relative gain of a step below which it stops
+_ASCENT_STEPS = 5
+_ASCENT_GAIN = 1e-6
+
+# step lengths the ascent tries along each direction, in turn
+_ASCENT_TRIALS = (1.0, 0.25, 0.0625)
 
 
 class EvaluationDomainError(ValueError):
@@ -101,8 +106,14 @@ class TableValues(MutableMapping):
     def __len__(self) -> int:
         return len(self._array)
 
+    def __eq__(self, other):
+        """Values of the same algebra, equal entry by entry (Mapping's comparison would compare arrays with ==)."""
+        if not isinstance(other, TableValues):
+            return NotImplemented
+        return self._alg == other._alg and np.array_equal(self._array, other._array)
 
-@dataclass
+
+@dataclass(eq=False)
 class DerivationTable:
     """delta given by its values on the basis units of alg.
 
@@ -133,25 +144,20 @@ class DerivationTable:
         """The values as one read-only (units, n, n) array, units in basis order: the table's own array, not a copy."""
         return self.values._view
 
+    def __eq__(self, other):
+        """Equal tolerances and values, the values of the same algebra and equal entry by entry."""
+        if not isinstance(other, DerivationTable):
+            return NotImplemented
+        return self.tol == other.tol and self.values == other.values
+
     @property
     def value_scale(self) -> float:
         """1 + max operator norm over the table values, the residual scale.
 
-        An operator norm is at most the Frobenius norm F, so the values are
-        normed in descending F order, in chunks of doubling size, until F of
-        the next value, times 1 + 1e-10 for rounding, is below the largest
-        operator norm found.  Every value left over has a smaller norm, so the
-        maximum is the one over all values, to the bit.
+        The maximum comes from _max_op_norm, which norms only the values whose
+        Frobenius norm can reach it, and is the one over all values, to the bit.
         """
-        values = self.stacked()
-        frobenius = np.linalg.norm(values, axis=(1, 2))
-        order = np.argsort(-frobenius, kind="stable")
-        best, start, step = 0.0, 0, _SCALE_CHUNK
-        while start < len(order) and not frobenius[order[start]] * (1 + 1e-10) < best:
-            chunk = order[start : start + step]
-            best = max(best, float(np.linalg.norm(values[chunk], 2, axis=(1, 2)).max()))
-            start, step = start + step, 2 * step
-        return 1.0 + best
+        return 1.0 + _max_op_norm(self.stacked())[0]
 
     def to_json(self) -> dict:
         entries = [
@@ -197,12 +203,17 @@ class ValidationReport:
         return not self.failing_pairs
 
 
-@dataclass
+@dataclass(eq=False)
 class NormEstimate:
-    """Sampled lower bound and, for known inner generators, analytic upper bound."""
+    """Bounds on the derivation norm.
+
+    lower is op_norm(delta(witness)), witness a unit-norm element of the
+    algebra; upper, when the inner generator is known, is analytic.
+    """
 
     lower: float
     upper: float | None = None
+    witness: np.ndarray | None = None
 
 
 def unit_commutators(alg: NestAlgebra, x) -> np.ndarray:
@@ -221,20 +232,6 @@ def unit_commutators(alg: NestAlgebra, x) -> np.ndarray:
     out[rows, :, uj] = x[:, ui].T
     out[rows, ui, :] -= x[uj, :]
     return out
-
-
-def commutator_residuals(table: DerivationTable, x, p=None, units=None) -> np.ndarray:
-    """op_norm(delta(E_ij) - [x, E_ij]) per basis unit, in basis order; times p on the right when given.
-
-    units, a boolean mask or index array over the basis units, limits the
-    norms to those units.
-    """
-    residual = table.stacked() - unit_commutators(table.alg, x)
-    if units is not None:
-        residual = residual[units]
-    if p is not None:
-        residual = residual @ p
-    return np.linalg.norm(residual, 2, axis=(1, 2))
 
 
 def inner_from(alg: NestAlgebra, c) -> DerivationTable:
@@ -257,8 +254,12 @@ def validate(table: DerivationTable) -> ValidationReport:
     a = |x_perp| and b = |y_perp|.  With the off-row column norms and the
     off-column row norms of every table value computed once, each such pair
     costs O(1): O(n^4) in all.  The O(n^3) pairs with j == k are formed in
-    full and normed by batched SVDs of n x n matrices.  No norm is taken of a
-    Gram matrix, which would square the residual and turn an exact zero into
+    full, a chunk at a time, and each chunk goes through _max_op_norm with the
+    scaled tolerance as its threshold: a pair is normed by SVD only if its
+    Frobenius norm can reach that tolerance or the chunk's maximum.  Every pair
+    that fails is among them, so failing_pairs, max_residual and worst_pair
+    are those of a norm taken for every pair, to the bit.  No norm is taken of
+    a Gram matrix, which would square the residual and turn an exact zero into
     rounding noise of order sqrt(eps).
 
     failing_pairs is in row-major pair order, units in basis order.
@@ -291,7 +292,8 @@ def validate(table: DerivationTable) -> ValidationReport:
         lhs[batch, :, uj[v]] = values[u, :, uj[u]]
         lhs[batch, ui[u], :] += values[v, ui[v], :]
         lhs -= values[w]
-        residual[u, v] = np.linalg.norm(lhs, 2, axis=(1, 2))
+        # a pair left unnormed gets 0.0: its residual is below both the tolerance and the chunk's maximum
+        residual[u, v] = _max_op_norm(lhs, scaled_tol)[2]
 
     worst = np.unravel_index(np.argmax(residual), residual.shape)
     failing = [
@@ -519,27 +521,73 @@ def distance_to_scalars(c):
     return lam, op_norm(c - lam * eye)
 
 
+def _ascend(table: DerivationTable, a: np.ndarray, image: np.ndarray, lower: float) -> tuple:
+    """(lower, a) after a first-order ascent of op_norm(delta(a)) over unit-norm a on the pattern.
+
+    Starts from a with delta(a) = image and op_norm(image) = lower > 0.  With
+    (u, v) the top singular pair of delta(a), a -> Re u^H delta(a) v is linear,
+    equal to the norm at a and at most the norm elsewhere; its gradient on the
+    pattern is G_ij = conj(u^H delta(E_ij) v), one einsum over the table.  A
+    step moves a along the polar factor of G (the maximizer of Re <x, G> over
+    the operator-norm unit ball, as in Higham's p-norm estimator), masked to
+    the pattern, by each length of _ASCENT_TRIALS in turn, renormalizes, and
+    keeps the first candidate whose norm is larger.  The ascent stops after
+    _ASCENT_STEPS steps, at a step where no length gains, or after a step that
+    gains less than _ASCENT_GAIN relative.  lower is op_norm(_image(a)), which
+    is what op_norm(evaluate(table, a)) gives, bit for bit, and it never falls
+    below its start.
+    """
+    values = table.stacked()
+    mask = table.alg.pattern_mask()
+    ui, uj = table.alg.unit_index()
+    for _ in range(_ASCENT_STEPS):
+        u, _, vh = np.linalg.svd(image)
+        gradient = np.zeros_like(a)
+        gradient[ui, uj] = np.einsum("kij,ij->k", values, np.outer(u[:, 0].conj(), vh[0].conj())).conj()
+        w, _, zh = np.linalg.svd(gradient)
+        direction = w @ zh
+        direction[~mask] = 0.0
+        for length in _ASCENT_TRIALS:
+            cand = a + length * direction
+            size = op_norm(cand)
+            if size == 0:
+                continue
+            cand = cand / size
+            # cand lies in the pattern by construction, so it needs no domain check
+            cand_image = _image(cand[ui, uj], values)
+            value = op_norm(cand_image)
+            if value > lower:
+                break
+        else:
+            break
+        gain = value - lower
+        a, image, lower = cand, cand_image, value
+        if gain < _ASCENT_GAIN * lower:
+            break
+    return lower, a
+
+
 def norm_estimate(table: DerivationTable, samples: int = 32, seed: int = 0, generator=None) -> NormEstimate:
     """Bounds on the derivation norm over the unit ball of the algebra.
 
-    lower: best sampled op_norm(delta(a)) over unit-norm a in the algebra,
-    refined by a short random local ascent, whose delta(a) each take one
-    reduction per chunk of units (_image).  upper (when the inner generator
-    c is known): 2 * min over lam of op_norm(c - lam I), valid because the
-    restricted norm is at most the norm of d_c on all of B(H), which is
-    exactly that (Stampfli).  It is 2 op_norm(c - lam I) at the lam found by
-    distance_to_scalars, so, to rounding, it is never below the norm of d_c
-    on B(H) and exceeds it by at most the certified gap
-    2e-12 * max(1, dist(c, C I)).  The certificate is a dual lower bound,
-    |(c - mu I) x| with mu = x^H c x for unit x, met by a Newton iteration in
-    about 4 SVDs; a kink (a normal c) falls back to the ellipsoid method's
-    own certificate.
+    lower: op_norm(delta(a)) at a unit-norm a of the algebra, returned as the
+    witness.  The samples, unit-norm Gaussian elements on the pattern, are
+    evaluated together by one _combine; the best of them (the first, on a tie)
+    starts a first-order ascent (_ascend) of at most _ASCENT_STEPS steps.
+    upper (when the inner generator c is known): 2 * min over lam of
+    op_norm(c - lam I), valid because the restricted norm is at most the norm
+    of d_c on all of B(H), which is exactly that (Stampfli).  It is
+    2 op_norm(c - lam I) at the lam found by distance_to_scalars, so, to
+    rounding, it is never below the norm of d_c on B(H) and exceeds it by at
+    most the certified gap 2e-12 * max(1, dist(c, C I)).  The certificate is a
+    dual lower bound, |(c - mu I) x| with mu = x^H c x for unit x, met by a
+    Newton iteration in about 4 SVDs; a kink (a normal c) falls back to the
+    ellipsoid method's own certificate.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     alg = table.alg
-    values = table.stacked()
     n = alg.n
     mask = alg.pattern_mask()
     ui, uj = alg.unit_index()
@@ -550,31 +598,15 @@ def norm_estimate(table: DerivationTable, samples: int = 32, seed: int = 0, gene
     sample[:, ~mask] = 0.0
     norms = np.linalg.norm(sample, 2, axis=(1, 2))[:, None, None]
     np.divide(sample, norms, out=sample, where=norms > 0)
-    found = np.linalg.norm(_combine(sample[:, ui, uj], values, n), 2, axis=(1, 2))
+    images = _combine(sample[:, ui, uj], table.stacked(), n)
+    found = np.linalg.norm(images, 2, axis=(1, 2))
     first = int(np.argmax(found))  # the first of equal maxima, as a scan keeping strict gains would
-    lower = 0.0
-    if found[first] > 0:
-        lower, best_a = float(found[first]), sample[first]
-        step = 0.5
-        # the 40 perturbations in the stream order of drawing each one's real part, then its imaginary part
-        draws = rng.standard_normal((40, 2, n, n))
-        perturbs = draws[:, 0] + 1j * draws[:, 1]
-        perturbs[:, ~mask] = 0.0
-        for perturb in perturbs:
-            cand = best_a + step * perturb
-            norm = op_norm(cand)
-            if norm == 0:
-                continue
-            cand = cand / norm
-            # cand lies in the pattern by construction, so it needs no domain check
-            val = op_norm(_image(cand[ui, uj], values))
-            if val > lower:
-                lower, best_a = val, cand
-            else:
-                step *= 0.8
+    lower, witness = float(found[first]), sample[first]
+    if lower > 0:
+        lower, witness = _ascend(table, witness, images[first], lower)
 
     upper = None
     if generator is not None:
         _, dist = distance_to_scalars(_as_matrix(generator))
         upper = 2.0 * dist
-    return NormEstimate(lower=lower, upper=upper)
+    return NormEstimate(lower=lower, upper=upper, witness=witness)

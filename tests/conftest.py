@@ -26,6 +26,21 @@ def rng():
     return np.random.default_rng(12345)
 
 
+@pytest.fixture
+def svd_batches(monkeypatch):
+    """A list that records, while the test runs, the matrices of each np.linalg.svd call without singular vectors."""
+    batches = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, compute_uv=True, **kwargs):
+        if not compute_uv:
+            batches.append(len(a) if a.ndim == 3 else 1)
+        return svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return batches
+
+
 @st.composite
 def algebras(draw, max_n=8):
     """T_n or a random chain, n <= max_n."""

@@ -8,7 +8,10 @@ paths.  Inputs are small integer matrices so the arithmetic is exact.
 The later oracles are the package's earlier one-element-at-a-time loops
 (validation, evaluation, norm estimate, construction, chain scalars,
 structure check), kept as references for the batched paths; the
-construction loops call ``evaluate`` as they did.
+construction loops call ``evaluate`` as they did.  The ``oracle_batched_*``
+and ``oracle_verify_residuals`` routes norm every pair or unit by one
+batched SVD, as the package did before its maxima were pruned, and must
+agree with it to the bit.
 """
 
 import itertools
@@ -302,48 +305,170 @@ def oracle_evaluate(table, a):
     return out
 
 
-def oracle_norm_estimate(table, samples=32, seed=0):
-    """norm_estimate's sampled lower bound, one sample at a time.
+def oracle_best_sample(table, samples=32, seed=0):
+    """(value, a): norm_estimate's best sample, drawn and evaluated one at a time.
 
     Each sample is drawn real part then imaginary part, masked to the pattern,
-    normalized and evaluated through oracle_evaluate; the best one is refined
-    by 40 steps of random local ascent drawn from the same stream.
+    normalized and evaluated through oracle_evaluate; the first of the largest
+    values is kept (a scan keeping strict gains).
     """
     rng = np.random.default_rng(seed)
     alg = table.alg
     n = alg.n
     mask = alg.pattern_mask()
-
-    def norm(a):
-        return float(np.linalg.norm(a, 2))
-
-    best_a = None
-    lower = 0.0
+    best, best_a = -1.0, None
     for _ in range(samples):
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         a[~mask] = 0.0
-        size = norm(a)
+        size = float(np.linalg.norm(a, 2))
         a = a / size if size > 0 else a
-        val = norm(oracle_evaluate(table, a))
-        if val > lower:
-            lower, best_a = val, a
+        val = float(np.linalg.norm(oracle_evaluate(table, a), 2))
+        if val > best:
+            best, best_a = val, a
+    return best, best_a
 
-    if best_a is not None:
-        step = 0.5
-        for _ in range(40):
-            perturb = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            perturb[~mask] = 0.0
-            cand = best_a + step * perturb
-            size = norm(cand)
+
+def oracle_norm_estimate(table, samples=32, seed=0):
+    """(lower, witness) of norm_estimate, the ascent taken one unit and one candidate at a time.
+
+    From oracle_best_sample's a, when its value is positive: at most 5 steps,
+    each along the polar factor of the gradient conj(u^H delta(E_ij) v) on the
+    pattern, (u, v) the top singular pair of delta(a), masked to the pattern;
+    lengths 1, 1/4 and 1/16 in turn, each candidate renormalized and evaluated
+    through oracle_evaluate, the first that gains kept; stop at a step where
+    none gains or after one that gains less than 1e-6 relative.
+    """
+    alg = table.alg
+    mask = alg.pattern_mask()
+    lower, a = oracle_best_sample(table, samples, seed)
+    if lower <= 0:
+        return lower, a
+    for _ in range(5):
+        u, _, vh = np.linalg.svd(oracle_evaluate(table, a))
+        weights = np.outer(u[:, 0].conj(), vh[0].conj())
+        gradient = np.zeros_like(a)
+        for unit, value in table.values.items():
+            gradient[unit.i, unit.j] = np.einsum("ij,ij->", value, weights).conj()
+        w, _, zh = np.linalg.svd(gradient)
+        direction = w @ zh
+        direction[~mask] = 0.0
+        for length in (1.0, 0.25, 0.0625):
+            cand = a + length * direction
+            size = float(np.linalg.norm(cand, 2))
             if size == 0:
                 continue
             cand = cand / size
-            val = norm(oracle_evaluate(table, cand))
+            val = float(np.linalg.norm(oracle_evaluate(table, cand), 2))
             if val > lower:
-                lower, best_a = val, cand
-            else:
-                step *= 0.8
-    return lower
+                break
+        else:
+            break
+        gain = val - lower
+        a, lower = cand, val
+        if gain < 1e-6 * lower:
+            break
+    return lower, a
+
+
+def oracle_batched_validate(table):
+    """validate with every pair normed: the package's route before _max_op_norm pruned the pairs with j == k.
+
+    The pairs with j != k take the closed form; the pairs with j == k are formed in
+    full and normed by one batched SVD.  Returns a ValidationReport.
+    """
+    from nestderiv.derivation import ValidationReport
+
+    alg = table.alg
+    n = alg.n
+    units = alg.basis_units()
+    ui, uj = alg.unit_index()
+    values = table.stacked()
+    scaled_tol = table.tol * oracle_value_scale(table)
+    rows = np.arange(len(units))
+    coords = np.arange(n)
+    power = np.abs(values) ** 2
+    off_row = np.sqrt(power.sum(axis=1, where=(coords != ui[:, None])[:, :, None]))
+    off_col = np.sqrt(power.sum(axis=2, where=(coords != uj[:, None])[:, None, :]))
+    corner = np.abs(values[rows, ui, :][:, ui] + values[rows, :, uj][:, uj].T)
+    a, b = off_row[:, ui], off_col[:, uj].T
+    residual = 0.5 * (np.hypot(corner, a + b) + np.hypot(corner, a - b))
+    u, v = np.nonzero(uj[:, None] == ui[None, :])
+    w = alg.unit_rows()[ui[u], uj[v]]
+    batch = np.arange(len(u))
+    lhs = np.zeros((len(u), n, n), dtype=complex)
+    lhs[batch, :, uj[v]] = values[u, :, uj[u]]
+    lhs[batch, ui[u], :] += values[v, ui[v], :]
+    lhs -= values[w]
+    residual[u, v] = np.linalg.norm(lhs, 2, axis=(1, 2))
+    worst = np.unravel_index(np.argmax(residual), residual.shape)
+    failing = [
+        (tuple(units[r]), tuple(units[c]), float(residual[r, c])) for r, c in zip(*np.nonzero(residual > scaled_tol))
+    ]
+    return ValidationReport(
+        max_residual=float(residual[worst]),
+        failing_pairs=failing,
+        tol=scaled_tol,
+        worst_pair=(tuple(units[worst[0]]), tuple(units[worst[1]])),
+    )
+
+
+def oracle_verify_residuals(table, artifacts):
+    """verify's residuals with every unit normed, each with the first basis unit reaching it.
+
+    Returns {name: (value, unit)} for residual_pSp (over b2's defects on the
+    pSp units, then b's, the first unit of b2's that reaches it if any),
+    residual_corner and residual_full (b's), from one batched SVD of every
+    unit's defect delta(E_ij) - [x, E_ij].
+    """
+    from nestderiv.derivation import unit_commutators
+
+    alg = table.alg
+    units = alg.basis_units()
+    d = alg.chain[artifacts.choices.k - 1]
+    ui, uj = alg.unit_index()
+
+    def norms(x):
+        return np.linalg.norm(table.stacked() - unit_commutators(alg, x), 2, axis=(1, 2))
+
+    def first_max(per_unit, part):
+        rows = np.flatnonzero(part)
+        top = int(np.argmax(per_unit[rows]))
+        return float(per_unit[rows[top]]), tuple(units[rows[top]])
+
+    residual_b, residual_b2 = norms(artifacts.b), norms(artifacts.b2)
+    psp = (ui < d) & (uj < d)
+    over_b2, over_b = first_max(residual_b2, psp), first_max(residual_b, psp)
+    return {
+        "residual_pSp": over_b if over_b[0] > over_b2[0] else over_b2,
+        "residual_corner": first_max(residual_b, (ui >= d) & (uj >= d)),
+        "residual_full": first_max(residual_b, np.ones(len(units), dtype=bool)),
+    }
+
+
+def oracle_batched_rule(table, choices):
+    """triple_rule_residual's (maximum, unit (i, a) of the first pair reaching it) with every pair normed by one batched SVD."""
+    from nestderiv.derivation import rank_one_images
+
+    alg = table.alg
+    n = alg.n
+    d = alg.chain[choices.k - 1]
+    xi0, eta1 = np.asarray(choices.xi0, dtype=complex), np.asarray(choices.eta1, dtype=complex)
+    eye = np.eye(n)
+    images = rank_one_images(
+        table, np.vstack([eye[:d], np.tile(eta1, (n - d + 1, 1))]), np.vstack([np.tile(xi0, (d, 1)), eye[d:], xi0])
+    )
+    cols = images[:d] @ xi0
+    rows = eta1.conj() @ images[d:n]
+    s = eta1.conj() @ images[n] @ xi0
+    pa, pi = np.repeat(np.arange(d, n), d), np.tile(np.arange(d), n - d)
+    pairs = np.arange(len(pa))
+    rhs = np.zeros((len(pa), n, n), dtype=complex)
+    rhs[pairs, :, pa] = cols[pi]
+    rhs[pairs, pi, :] += rows[pa - d]
+    rhs[pairs, pi, pa] -= s
+    residuals = np.linalg.norm(table.stacked()[alg.unit_rows()[pi, pa]] - rhs, 2, axis=(1, 2))
+    top = int(np.argmax(residuals))
+    return float(residuals[top]), (int(pi[top]), int(pa[top]))
 
 
 def oracle_rule_max(table, choices):

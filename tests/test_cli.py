@@ -171,6 +171,55 @@ def test_verify_rejects_wrong_b(tmp_path):
     assert code == EXIT_VALIDATION
 
 
+def test_verify_rejects_a_b_whose_squared_entries_overflow(tmp_path, capsys):
+    # entries near 1e200 square to inf, so no Frobenius bound can prune a unit: every residual is the exact norm
+    table_path, b_path, out = tmp_path / "table.json", tmp_path / "b.json", tmp_path / "v.json"
+    main(["generate", "--n", "6", "--seed", "1", "--out", str(table_path)])
+    rng = np.random.default_rng(7)
+    b = 1e200 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    b_path.write_text(json.dumps(matrix_to_json(b)))
+    capsys.readouterr()
+    argv = ["verify", "--input", str(table_path), "--b", str(b_path), "--gate-thm13", "--out", str(out)]
+    assert main(argv) == EXIT_VALIDATION
+    report = read(out)
+    table = DerivationTable.from_json(read(table_path))
+    b = matrix_from_json(read(b_path))
+    exact = [np.linalg.norm(table.values[u] - (b @ e - e @ b), 2) for u, e in ((u, table.alg.unit_matrix(u)) for u in table.alg.basis_units())]
+    assert report["residual_full"] == max(exact) > 1e199
+    assert report["residual_pSp"] > 1e199 and report["residual_corner"] > 1e199
+    assert capsys.readouterr().err.startswith("verification failed: thm11 residual_pSp ")
+
+
+@pytest.mark.parametrize("gate_thm13", [False, True])
+def test_failed_theorem_gate_names_residual_tolerance_and_unit(tmp_path, capsys, gate_thm13):
+    table_path, b_path, out = tmp_path / "table.json", tmp_path / "b.json", tmp_path / "v.json"
+    main(["generate", "--n", "6", "--seed", "1", "--out", str(table_path)])
+    b_path.write_text(json.dumps(matrix_to_json(np.zeros((6, 6)))))
+    capsys.readouterr()
+    argv = ["verify", "--input", str(table_path), "--b", str(b_path), "--out", str(out)]
+    assert main(argv + (["--gate-thm13"] if gate_thm13 else [])) == EXIT_VALIDATION
+    report = read(out)
+    table = DerivationTable.from_json(read(table_path))
+    # with b = 0 every unit's defect is its table value; p has rank 3 at the default k
+    norms = {u: np.linalg.norm(table.values[u], 2) for u in table.alg.basis_units()}
+    psp = [u for u in norms if u.i < 3 and u.j < 3]
+    corner = [u for u in norms if u.i >= 3 and u.j >= 3]
+    worst_psp, worst_corner = max(psp, key=norms.get), max(corner, key=norms.get)
+    assert report["residual_pSp"] == norms[worst_psp] and report["residual_corner"] == norms[worst_corner]
+    tol = table.tol * table.value_scale
+    thm12 = ("residual_pSp", worst_psp) if norms[worst_psp] >= norms[worst_corner] else ("residual_corner", worst_corner)
+    expected = [
+        f"thm11 residual_pSp {report['residual_pSp']:.3e} > tol {tol:.3e} at unit {tuple(worst_psp)}",
+        f"thm12 {thm12[0]} {report[thm12[0]]:.3e} > tol {tol:.3e} at unit {tuple(thm12[1])}",
+    ]
+    if gate_thm13:
+        worst = max(norms, key=norms.get)
+        assert report["residual_full"] == norms[worst] >= report["rule_max"]
+        expected.append(f"thm13 residual_full {report['residual_full']:.3e} > tol {tol:.3e} at unit {tuple(worst)}")
+    err = capsys.readouterr().err
+    assert err == f"verification failed: {'; '.join(expected)}\n"
+
+
 def test_chain_command(tmp_path):
     table_path = tmp_path / "table.json"
     out = tmp_path / "chain.json"

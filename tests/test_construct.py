@@ -19,7 +19,6 @@ from nestderiv.construct import (
 from nestderiv.derivation import (
     DerivationTable,
     EvaluationDomainError,
-    commutator_residuals,
     inner_from,
     norm_estimate,
     validate,
@@ -40,12 +39,14 @@ def choices_for(alg, k):
 
 from oracles import (
     oracle_b1,
+    oracle_batched_rule,
     oracle_build_b1,
     oracle_build_c2,
     oracle_c1,
     oracle_c2,
     oracle_evaluate,
     oracle_rule_max,
+    oracle_verify_residuals,
 )
 
 
@@ -370,11 +371,30 @@ class TestRankOneConstruction:
             assert triple_rule_residual(table, choices).max_residual == rule
             report = verify(table, art)
             assert report.rule_max == rule
-            # b2 normed on the pSp units only: the same maximum as over the full per-unit array
-            ui, uj = alg.unit_index()
-            psp = (ui < d) & (uj < d)
-            full = max(commutator_residuals(table, art.b2)[psp].max(), commutator_residuals(table, art.b)[psp].max())
-            assert report.residual_pSp == full
+            self.assert_residuals_as_unpruned(table, art, report)
+
+    @staticmethod
+    def assert_residuals_as_unpruned(table, art, report):
+        """Each residual, its worst unit and the triple rule's as when every unit (pair) is normed, to the bit."""
+        for name, (value, unit) in oracle_verify_residuals(table, art).items():
+            assert (getattr(report, name), report.worst_units[name]) == (value, unit)
+        rule = triple_rule_residual(table, art.choices)
+        assert (rule.max_residual, rule.unit) == oracle_batched_rule(table, art.choices)
+        assert (report.rule_max, report.worst_units["rule_max"]) == (rule.max_residual, rule.unit)
+
+    @given(construction_tables(), st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_verify_residuals_match_the_unpruned_norms(self, table_and_c, seed, foreign_b):
+        """Also for a b that implements nothing, random or zero; small-integer generators give tied residuals."""
+        table, _ = table_and_c
+        rng = np.random.default_rng(seed)
+        n = table.alg.n
+        for k in table.alg.interior_levels:
+            art = build_b(table, default_choices(table.alg, k))
+            if foreign_b:
+                b = random_complex(rng, (n, n)) if seed % 2 else np.zeros((n, n), dtype=complex)
+                art = ConstructionArtifacts(b1=b, c1=0 * b, b2=b, c2=0 * b, b=b, choices=art.choices)
+            self.assert_residuals_as_unpruned(table, art, verify(table, art))
 
     @given(construction_tables(), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=40, deadline=None)

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nestderiv import derivation
+from nestderiv import derivation, linalg
 from nestderiv.algebra import NestAlgebra
+from nestderiv.chain import implements_on_projection
 from nestderiv.derivation import (
     DerivationTable,
     EvaluationDomainError,
-    commutator_residuals,
     distance_to_scalars,
     evaluate,
     inner_from,
@@ -23,6 +23,8 @@ from nestderiv.linalg import DimensionError, matrix_to_json, op_norm
 
 from conftest import algebras, random_complex, unit
 from oracles import (
+    oracle_batched_validate,
+    oracle_best_sample,
     oracle_commutator_residuals,
     oracle_distance_to_scalars,
     oracle_enclosing_disk_radius,
@@ -87,10 +89,11 @@ class TestUnitCommutators:
             table = inner_from(alg, random_complex(rng, (n, n)))
         else:
             table = DerivationTable(alg, {u: random_complex(rng, (n, n)) for u in alg.basis_units()})
-        assert np.array_equal(commutator_residuals(table, b), oracle_commutator_residuals(table, b))
+        defects = table.stacked() - unit_commutators(alg, b)
+        assert linalg._max_op_norm(defects)[0] == max(oracle_commutator_residuals(table, b))
         for k in range(1, alg.num_levels + 1):
             p = alg.lattice_projection(k)
-            assert np.array_equal(commutator_residuals(table, b, p), oracle_commutator_residuals(table, b, p))
+            assert implements_on_projection(table, b, k) == max(oracle_commutator_residuals(table, b, p))
 
 
 class TestDerivationTable:
@@ -126,27 +129,17 @@ class TestDerivationTable:
                 table.values[u] = table.values[units[0]].copy()
         assert table.value_scale == oracle_value_scale(table)
 
-    def test_value_scale_stops_at_the_frobenius_bound(self, rng, monkeypatch):
+    def test_value_scale_stops_at_the_frobenius_bound(self, rng, svd_batches):
         alg = NestAlgebra.triangular(8)
         table = inner_from(alg, random_complex(rng, (8, 8)))
         units = alg.basis_units()
         table.values[units[7]] = 100.0 * table.values[units[7]]
-        normed = []
-        norm = np.linalg.norm
-
-        def counting(a, ord=None, **kwargs):
-            if ord == 2:
-                normed.append(len(a))
-            return norm(a, ord, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "norm", counting)
         scale = table.value_scale
-        monkeypatch.undo()
+        # a row of the dominant value is longer than any other value's Frobenius norm: only it is normed
+        assert svd_batches == [1] and len(units) == 36
         assert scale == oracle_value_scale(table)
-        # the first chunk holds the dominant value, and no further chunk is normed
-        assert normed == [derivation._SCALE_CHUNK] and len(units) == 36
 
-    def test_value_scale_reads_past_the_first_chunk(self):
+    def test_value_scale_finds_a_maximum_below_larger_frobenius_norms(self, svd_batches):
         # eight values of Frobenius norm 2 and operator norm 1 come first; the maximum, 1.0005, is the ninth
         alg = NestAlgebra.triangular(4)
         units = alg.basis_units()
@@ -154,8 +147,16 @@ class TestDerivationTable:
         values[units[8]] = 1.0005 * unit(4, 0, 0)
         values[units[9]] = np.zeros((4, 4))
         table = DerivationTable(alg, values)
-        assert derivation._SCALE_CHUNK == 8
-        assert table.value_scale == oracle_value_scale(table) == 1.0 + 1.0005
+        assert table.value_scale == 1.0 + 1.0005
+        # all nine values of nonzero norm can reach the largest row norm, 1.0005; the zero values are not normed
+        assert svd_batches == [9]
+        assert table.value_scale == oracle_value_scale(table)
+
+    def test_value_scale_where_squares_overflow(self, rng):
+        # squares of entries near 1e200 are inf, so no row, column or Frobenius norm prunes: every value is normed
+        table = inner_from(NestAlgebra.triangular(5), 1e200 * random_complex(rng, (5, 5)))
+        exact = max(np.linalg.norm(v, 2) for v in table.values.values())
+        assert table.value_scale == oracle_value_scale(table) == 1.0 + exact and exact > 1e199
 
     def test_values_stored_in_basis_order(self, rng):
         alg = NestAlgebra(5, (2, 3, 5))
@@ -197,6 +198,28 @@ class TestDerivationTable:
             del table.values[(0, 1)]
         assert len(table.values) == 10 and validate(table).ok
         assert DerivationTable.from_json(table.to_json()).stacked().tobytes() == before.tobytes()
+
+    def test_equality_compares_algebra_tolerance_and_values(self, rng):
+        alg = NestAlgebra.triangular(3)
+        c = random_complex(rng, (3, 3))
+        table = inner_from(alg, c)
+        assert table == inner_from(alg, c)
+        assert not table != inner_from(alg, c)
+        changed = inner_from(alg, c)
+        changed.values[(0, 2)] = changed.values[(0, 2)] + 1e-15
+        assert table != changed
+        looser = inner_from(alg, c)
+        looser.tol = 1e-8
+        assert table != looser
+        # zero tables of the same size on two chains differ by their algebras
+        first, second = (zero_table(NestAlgebra(3, chain)) for chain in ((1, 3), (2, 3)))
+        assert first != second and first == zero_table(NestAlgebra(3, (1, 3)))
+        assert table != "table"
+        assert table.values == inner_from(alg, c).values and table.values != changed.values
+        # n = 1: one value, compared as a 1 x 1 array
+        one = NestAlgebra.triangular(1)
+        assert DerivationTable(one, {(0, 0): [[2.0]]}) == DerivationTable(one, {(0, 0): [[2.0 + 0j]]})
+        assert DerivationTable(one, {(0, 0): [[2.0]]}) != DerivationTable(one, {(0, 0): [[3.0]]})
 
     def test_stacked_and_values_share_the_table_array(self, rng):
         alg = NestAlgebra(6, (2, 3, 6))
@@ -249,6 +272,32 @@ class TestValidate:
             assert math.isclose(got, want, rel_tol=1e-12)
         assert math.isclose(report.max_residual, max(residuals.values()), rel_tol=1e-12)
         assert math.isclose(residuals[report.worst_pair], report.max_residual, rel_tol=1e-12)
+
+    @given(tables(), st.sampled_from([None, 1e-15, 1e-9, 1e-3]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_unpruned_validate_exactly(self, table, tol):
+        """Every failing residual, the maximum and the worst pair as when every pair is normed, to the bit."""
+        if tol is not None:
+            table.tol = tol
+        report, want = validate(table), oracle_batched_validate(table)
+        assert report.failing_pairs == want.failing_pairs
+        assert (report.max_residual, report.worst_pair, report.tol) == (want.max_residual, want.worst_pair, want.tol)
+
+    def test_pairs_that_cannot_fail_or_reach_the_maximum_are_not_normed(self, rng, svd_batches):
+        alg = NestAlgebra.triangular(10)
+        table = inner_from(alg, random_complex(rng, (10, 10)))
+        table.values[(2, 5)] = table.values[(2, 5)] + 1e-3 * random_complex(rng, (10, 10))
+        table.value_scale
+        scale = sum(svd_batches)
+        report = validate(table)
+        normed = sum(svd_batches) - 2 * scale
+        want = oracle_batched_validate(table)
+        assert report.failing_pairs == want.failing_pairs and report.max_residual == want.max_residual
+        # of the 220 pairs with j == k, those that fail and few others are normed
+        ui, uj = alg.unit_index()
+        assert int(np.count_nonzero(uj[:, None] == ui[None, :])) == 220
+        failing = sum(u[1] == v[0] for u, v, _ in report.failing_pairs)
+        assert 0 < failing <= normed < 220 // 4
 
     @pytest.mark.parametrize("chain", [None, (6, 12), (3, 7, 12), (1, 2, 11, 12), (2, 4, 6, 8, 10, 12)])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -487,7 +536,8 @@ class TestNormEstimate:
         rng = np.random.default_rng(seed)
         c = random_complex(rng, (n, n))
         est = norm_estimate(table, samples=samples, seed=seed, generator=c)
-        assert est.lower == oracle_norm_estimate(table, samples=samples, seed=seed)
+        lower, witness = oracle_norm_estimate(table, samples=samples, seed=seed)
+        assert est.lower == lower and est.witness.tobytes() == witness.tobytes()
         assert est.upper == 2.0 * distance_to_scalars(c)[1]
         if not any(v.any() for v in table.values.values()):
             assert est.lower == 0.0
@@ -495,14 +545,36 @@ class TestNormEstimate:
         units = table.alg.basis_units()
         u = units[seed % len(units)]
         table.values[u] = table.values[u] + random_complex(rng, (n, n))
-        assert norm_estimate(table, samples=samples, seed=seed).lower == oracle_norm_estimate(table, samples=samples, seed=seed)
+        assert norm_estimate(table, samples=samples, seed=seed).lower == oracle_norm_estimate(table, samples=samples, seed=seed)[0]
+
+    @given(norm_tables(), st.sampled_from([1, 4, 32]), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_witness_reaches_lower_from_the_best_sample(self, table, samples, seed):
+        """lower is op_norm(delta(witness)) to the bit, witness unit-norm on the pattern, lower >= the best sample."""
+        est = norm_estimate(table, samples=samples, seed=seed)
+        mask = table.alg.pattern_mask()
+        assert est.lower == op_norm(evaluate(table, est.witness))
+        assert abs(op_norm(est.witness) - 1.0) <= 1e-12
+        assert not np.any(est.witness[~mask])
+        assert est.lower >= oracle_best_sample(table, samples=samples, seed=seed)[0]
+
+    def test_ascent_stops_within_its_step_cap(self, rng, monkeypatch):
+        alg = NestAlgebra.triangular(6)
+        table = inner_from(alg, random_complex(rng, (6, 6)))
+        images = []
+        image = derivation._image
+        monkeypatch.setattr(derivation, "_image", lambda *args: images.append(1) or image(*args))
+        est = norm_estimate(table, seed=3)
+        monkeypatch.undo()
+        # at most one candidate per step length per step
+        assert 0 < len(images) <= derivation._ASCENT_STEPS * len(derivation._ASCENT_TRIALS)
+        assert est.lower > oracle_best_sample(table, seed=3)[0]
 
     def test_lower_below_upper(self, rng):
-        for n in (3, 5):
-            alg = NestAlgebra.triangular(n)
-            c = random_complex(rng, (n, n))
+        for alg in (NestAlgebra.triangular(3), NestAlgebra.triangular(5), NestAlgebra(8, (2, 5, 8)), NestAlgebra(8, (4, 8))):
+            c = random_complex(rng, (alg.n, alg.n))
             est = norm_estimate(inner_from(alg, c), samples=16, seed=7, generator=c)
-            assert est.lower <= est.upper + 1e-9
+            assert est.lower <= est.upper * (1 + 1e-12)
 
 
 class TestDistanceToScalars:

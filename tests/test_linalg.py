@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nestderiv.linalg import (
     DimensionError,
+    _max_op_norm,
     adjoint,
     matrix_from_json,
     matrix_to_json,
@@ -118,3 +119,76 @@ def test_json_rejects_nonfinite():
     obj = {"rows": 1, "cols": 1, "data": [[float("nan"), 0.0]]}
     with pytest.raises(ValueError):
         matrix_from_json(obj)
+
+
+@st.composite
+def norm_stacks(draw):
+    """(count, n, n) stacks of rank-one (op = F), flat-spectrum (op = F / sqrt(n)), zero and Gaussian entries.
+
+    Scales span 1e-3..1e3, or are 1e-200, 1e-160, 1e160 or 1e200, whose
+    squares underflow or overflow; some entries are copies of another one, so
+    maxima can tie; count may be zero, and one stack in ten holds a NaN.
+    """
+    n = draw(st.integers(min_value=1, max_value=6))
+    count = draw(st.integers(min_value=0, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    stack = np.zeros((count, n, n), dtype=complex)
+    for r in range(count):
+        kind = draw(st.sampled_from(["rank-one", "flat", "zero", "gaussian", "copy"]))
+        scale = 10.0 ** draw(st.one_of(st.integers(min_value=-3, max_value=3), st.sampled_from([-200, -160, 160, 200])))
+        if kind == "rank-one":
+            stack[r] = scale * np.outer(random_complex(rng, n), random_complex(rng, n))
+        elif kind == "flat":
+            stack[r] = scale * np.linalg.qr(random_complex(rng, (n, n)))[0]
+        elif kind == "gaussian":
+            stack[r] = scale * random_complex(rng, (n, n))
+        elif kind == "copy" and r:
+            stack[r] = stack[int(rng.integers(r))]
+    if count and draw(st.integers(min_value=0, max_value=9)) == 0:
+        stack[int(rng.integers(count)), int(rng.integers(n)), int(rng.integers(n))] = np.nan
+    return stack
+
+
+@given(norm_stacks(), st.sampled_from(["inf", "zero", "an entry's norm", "half the maximum"]))
+@settings(max_examples=150, deadline=None)
+def test_max_op_norm_matches_the_unpruned_norms(stack, where):
+    if np.isnan(stack).any():
+        # the unpruned norm raises on a NaN entry, and so does the kernel
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.norm(stack, 2, axis=(1, 2))
+        with pytest.raises(np.linalg.LinAlgError):
+            _max_op_norm(stack)
+        return
+    exact = np.linalg.norm(stack, 2, axis=(1, 2)) if len(stack) else np.zeros(0)
+    threshold = {
+        "inf": np.inf,
+        "zero": 0.0,
+        "an entry's norm": exact[len(exact) // 2] if len(exact) else 1.0,
+        "half the maximum": 0.5 * exact.max(initial=0.0),
+    }[where]
+    best, index, norms = _max_op_norm(stack, threshold)
+    if not len(stack):
+        assert (best, index, len(norms)) == (0.0, None, 0)
+        return
+    assert best == exact.max() and index == int(np.argmax(exact))
+    with np.errstate(over="ignore"):
+        frobenius = np.linalg.norm(stack, axis=(1, 2))
+    reach = frobenius * (1 + 1e-10) > threshold
+    assert np.array_equal(norms[reach], exact[reach])
+    # an entry left unnormed holds 0.0 and has a norm below threshold and below the maximum, or a zero norm
+    unnormed = norms != exact
+    assert not np.any(norms[unnormed])
+    assert np.all((exact[unnormed] < threshold) & ((exact[unnormed] < best) | (exact[unnormed] == 0)))
+    assert np.array_equal(norms > threshold, exact > threshold)
+
+
+def test_max_op_norm_norms_only_what_can_reach_the_floor_or_threshold(svd_batches):
+    # flat entries of F = 2 and op = 1, and one rank-one entry of op = F = 3, whose column of norm 3 is the floor
+    stack = np.stack([np.eye(4)] * 30 + [np.diag([3.0, 0, 0, 0])]).astype(complex)
+    best, index, norms = _max_op_norm(stack)
+    assert (best, index) == (3.0, 30) and svd_batches == [1]
+    assert np.count_nonzero(norms) == 1
+    # every entry whose F reaches the threshold is normed, here all of them
+    _, _, above = _max_op_norm(stack, 0.99)
+    assert svd_batches == [1, 31]
+    assert np.array_equal(above, np.linalg.norm(stack, 2, axis=(1, 2)))

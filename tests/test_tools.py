@@ -35,7 +35,9 @@ def test_cli_fileset_writes_and_compares_the_smoke_set(tmp_path, capsys):
 
 
 def test_first_difference_names_the_key_path_and_both_values():
-    first = cli_fileset.first_difference
+    def first(x, y):
+        return next(cli_fileset.differences(x, y), None)
+
     assert first({"a": [1, {"b": 2.5}]}, {"a": [1, {"b": 2.5}]}) is None
     assert first({"a": [1, {"b": 2.5}]}, {"a": [1, {"b": 3.5}]}) == "a[1].b: 2.5 != 3.5"
     # keys in sorted order, whatever the order in the file; a missing key, a length and a type count
@@ -57,3 +59,24 @@ def test_describe_reports_bytes_that_hold_the_same_json(tmp_path):
     assert cli_fileset.compare(a, b) == ["r.json", "t.txt"]
     assert cli_fileset.describe(a, b, "r.json") == "r.json: bytes differ, JSON values equal"
     assert cli_fileset.describe(a, b, "t.txt") == "t.txt: bytes differ (not JSON)"
+
+
+def test_compare_lists_every_differing_key_path_up_to_the_cap(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out, shift in ((a, 0), (b, 1)):
+        out.mkdir()
+        (out / "few.json").write_text(json.dumps({"norms": {"b": 2.0, "delta_lower": 1.5 + shift}, "pass": [True, bool(shift)]}))
+        (out / "many.json").write_text(json.dumps({"data": [x + shift for x in range(cli_fileset.LISTED + 3)]}))
+    assert list(cli_fileset.differences(json.loads((a / "few.json").read_text()), json.loads((b / "few.json").read_text()))) == [
+        "norms.delta_lower: 1.5 != 2.5",
+        "pass[1]: false != true",
+    ]
+    capsys.readouterr()
+    assert cli_fileset.main(["--compare", str(a), str(b)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["few.json: norms.delta_lower: 1.5 != 2.5", "few.json: pass[1]: false != true"]
+    assert lines[2:] == [
+        *(f"many.json: data[{i}]: {i} != {i + 1}" for i in range(cli_fileset.LISTED)),
+        "many.json: and 3 more",
+        "2 of the files differ",
+    ]

@@ -15,8 +15,9 @@ copy of this file placed in another checkout writes that checkout's set.
 
 The second form compares two such directories file by file and exits 1
 unless they hold the same names with byte-identical contents.  For each
-differing JSON file it names the first differing key path and both values,
-as in ``chain-c.json: family[0].b.data[3][0]: 0.12 != 0.22``.  Every report
+differing JSON file it prints one line per differing key path with both
+values, as in ``chain-c.json: family[0].b.data[3][0]: 0.12 != 0.22``, the
+first LISTED of them in sorted key order and then ``and N more``.  Every report
 is deterministic for fixed arguments and seed, so a change that should not
 move any result must leave the set byte-identical.
 """
@@ -27,6 +28,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# differing key paths printed per file before "and N more"
+LISTED = 10
 
 # (T_n, its seed, chain table n, its chain, its seed, construct --k/--xi0-index/--eta1-index on T_n)
 SIZES = {
@@ -92,38 +96,36 @@ def _short(value) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
-def first_difference(x, y, path: str = "") -> str | None:
-    """'path: x != y' at the first key path, keys in sorted order, where the JSON values x and y differ; None if equal."""
+def differences(x, y, path: str = ""):
+    """Yield 'path: x != y' for every key path, keys in sorted order, where the JSON values x and y differ."""
     if isinstance(x, dict) and isinstance(y, dict):
         for key in sorted(x.keys() | y.keys()):
             where = f"{path}.{key}" if path else key
             if key not in x or key not in y:
                 left, right = (_short(side[key]) if key in side else "missing" for side in (x, y))
-                return f"{where}: {left} != {right}"
-            found = first_difference(x[key], y[key], where)
-            if found:
-                return found
-        return None
-    if isinstance(x, list) and isinstance(y, list):
+                yield f"{where}: {left} != {right}"
+            else:
+                yield from differences(x[key], y[key], where)
+    elif isinstance(x, list) and isinstance(y, list):
         for index, (u, v) in enumerate(zip(x, y)):
-            found = first_difference(u, v, f"{path}[{index}]")
-            if found:
-                return found
-        return None if len(x) == len(y) else f"{path or '.'}: length {len(x)} != {len(y)}"
-    if type(x) is type(y) and x == y:
-        return None
-    return f"{path or '.'}: {_short(x)} != {_short(y)}"
+            yield from differences(u, v, f"{path}[{index}]")
+        if len(x) != len(y):
+            yield f"{path or '.'}: length {len(x)} != {len(y)}"
+    elif not (type(x) is type(y) and x == y):
+        yield f"{path or '.'}: {_short(x)} != {_short(y)}"
 
 
 def describe(a: Path, b: Path, name: str) -> str:
-    """What differs in the file name of directories a and b: absence, the first differing JSON value, or bytes."""
+    """What differs in the file name of directories a and b, one line each: absence, each differing JSON value, or bytes."""
     if not (a / name).is_file() or not (b / name).is_file():
         return f"{name}: only in {a if (a / name).is_file() else b}"
     try:
-        found = first_difference(json.loads((a / name).read_text()), json.loads((b / name).read_text()))
+        found = list(differences(json.loads((a / name).read_text()), json.loads((b / name).read_text())))
     except ValueError:
         return f"{name}: bytes differ (not JSON)"
-    return f"{name}: {found or 'bytes differ, JSON values equal'}"
+    if len(found) > LISTED:
+        found[LISTED:] = [f"and {len(found) - LISTED} more"]
+    return "\n".join(f"{name}: {line}" for line in found or ["bytes differ, JSON values equal"])
 
 
 def main(argv=None) -> int:
