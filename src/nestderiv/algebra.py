@@ -18,6 +18,9 @@ from .linalg import DimensionError, _as_matrix, scalar_identity_part
 # complex entries of the rank-one orbit maps in one batch of check_structure trials
 _TRIAL_ENTRIES = 1 << 15
 
+# random trials check_structure draws
+_TRIALS = 50
+
 
 class MatrixUnit(NamedTuple):
     """Indices (i, j) of the matrix unit E_ij, 0-based."""
@@ -96,6 +99,11 @@ class NestAlgebra:
         p[np.arange(d), np.arange(d)] = 1.0
         return p
 
+    @property
+    def unit_count(self) -> int:
+        """The number of basis units, sum over k of (d_k - d_{k-1})(n - d_{k-1}), without building the basis."""
+        return sum((d - below) * (self.n - below) for below, d in zip((0, *self.chain), self.chain))
+
     def basis_units(self) -> list:
         """All admissible matrix units in lexicographic order, as a new list."""
         return list(_basis(self)[0])
@@ -137,7 +145,6 @@ def _basis(alg: NestAlgebra) -> tuple:
 class StructureReport:
     """Outcome of the randomized structural checks."""
 
-    trials: int
     assertions: int = 0
     failures: list = field(default_factory=list)
     commutant_nullity: int = -1
@@ -210,7 +217,7 @@ def _commutant_nullity(alg: NestAlgebra):
     return nullity, residual
 
 
-def check_structure(alg: NestAlgebra, trials: int = 50, seed: int = 0) -> StructureReport:
+def check_structure(alg: NestAlgebra, seed: int = 0) -> StructureReport:
     """Randomized verification of the basic structural facts.
 
     For random chain projections p and random matrices m: p m p^perp lies in
@@ -218,24 +225,19 @@ def check_structure(alg: NestAlgebra, trials: int = 50, seed: int = 0) -> Struct
     in the algebra and carries xi0 to eta (so the orbit of xi0 covers range p);
     and the commutant is trivial (only scalars commute with every basis unit).
 
-    Each trial draws, in this stream order, its chain level, the real and
-    imaginary parts of m and the index of xi0.  The trials are drawn and then
-    checked together in batches of max(1, _TRIAL_ENTRIES // n^3) trials, so
-    the rank-one maps of a batch, fewer than n per trial, hold at most
-    max(_TRIAL_ENTRIES, n^3) complex entries.  Failures are listed in trial
-    order.
+    Each of the _TRIALS trials draws, in this stream order, its chain level,
+    the real and imaginary parts of m and the index of xi0.  The trials are
+    drawn and then checked together in batches of max(1, _TRIAL_ENTRIES // n^3)
+    trials, so the rank-one maps of a batch, fewer than n per trial, hold at
+    most max(_TRIAL_ENTRIES, n^3) complex entries.  Failures are listed in
+    trial order.
     """
-    if not math.isfinite(trials) or int(trials) != trials:
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    trials = int(trials)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    report = StructureReport(trials=trials)
+    report = StructureReport()
     step = max(1, _TRIAL_ENTRIES // alg.n**3)
     if alg.interior_levels:
-        for start in range(0, trials, step):
-            _check_trials(alg, rng, range(start, min(start + step, trials)), report)
+        for start in range(0, _TRIALS, step):
+            _check_trials(alg, rng, range(start, min(start + step, _TRIALS)), report)
 
     nullity, residual = _commutant_nullity(alg)
     report.commutant_nullity = nullity

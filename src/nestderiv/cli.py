@@ -7,9 +7,9 @@ Subcommands:
   chain      per-level chain family, normalization, and stabilized operator
 
 Exit codes: 0 success, 1 validation failure, 2 config error, 3 I/O error.
-All output is deterministic JSON for fixed (config, seed).  generate refuses,
-as a config error, a table whose values would take more than
-MAX_TABLE_BYTES in memory (256 MiB: T_64 takes 136 MB, T_80 332 MB).
+All output is deterministic JSON, byte-identical for equal input files and
+flags.  generate refuses, as a config error, a table whose values would take
+more than MAX_TABLE_BYTES in memory (256 MiB: T_64 takes 136 MB, T_80 332 MB).
 """
 
 import argparse
@@ -66,8 +66,12 @@ def _write_json(path: str, obj: dict):
 
 
 def _read_json(path: str) -> dict:
+    """The JSON value of the file at path; ValueError when it is not JSON or is nested too deeply to parse."""
     with open(path) as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError as exc:
+            raise ValueError("JSON nested too deeply to parse") from exc
 
 
 def _parse_chain(args, n: int) -> tuple:
@@ -119,7 +123,7 @@ def _load_matrix(path: str, n: int, what: str) -> np.ndarray:
     """An n x n matrix from a JSON file; malformed content is a config error."""
     try:
         m = matrix_from_json(_read_json(path))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {what} matrix {path}: {exc}") from exc
     if m.shape != (n, n):
         raise ConfigError(f"{what} matrix {path} has shape {m.shape}, expected {(n, n)}")
@@ -155,8 +159,7 @@ def cmd_generate(args) -> int:
         alg = NestAlgebra(args.n, _parse_chain(args, args.n))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # past the first check n <= 75, so listing the units is cheap
-    _check_table_size(alg.n, len(alg.basis_units()))
+    _check_table_size(alg.n, alg.unit_count)
     if args.zero:
         c = np.zeros((alg.n, alg.n), dtype=complex)
     else:
@@ -178,7 +181,7 @@ def _verify_and_write(args, table: DerivationTable, tol: float, artifacts: Const
     generator = None
     if args.generator:
         generator = _load_matrix(args.generator, table.alg.n, "generator")
-    verification = verify(table, artifacts, tol=tol, generator=generator, norm_seed=args.seed)
+    verification = verify(table, artifacts, tol=tol, generator=generator)
     _write_json(args.out, {**verification.to_json(), **extra})
     print(f"wrote {args.out}")
     gated = ("thm11", "thm12", "thm13") if args.gate_thm13 else ("thm11", "thm12")
@@ -258,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, default=None, help="interior chain index of p (1-based)")
         p.add_argument("--xi0-index", type=int, default=None, dest="xi0_index")
         p.add_argument("--eta1-index", type=int, default=None, dest="eta1_index")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=_tolerance, default=None)
         p.add_argument("--generator", help="generator matrix JSON, enables gauge and norm bounds")
         p.add_argument("--gate-thm13", action="store_true", dest="gate_thm13")

@@ -262,7 +262,6 @@ def verify(
     artifacts: ConstructionArtifacts,
     tol: float | None = None,
     generator=None,
-    norm_seed: int = 0,
     norms: NormEstimate | None = None,
 ) -> VerificationReport:
     """Residual verification of the implementation claims.
@@ -300,7 +299,7 @@ def verify(
     residual_corner, at_corner, _ = _max_op_norm(defect_b[corner])
     residual_full, at_full, _ = _max_op_norm(defect_b)
 
-    estimate = norms if norms is not None else norm_estimate(table, seed=norm_seed, generator=generator)
+    estimate = norms if norms is not None else norm_estimate(table, generator=generator)
     norm_data = {
         "b1": op_norm(artifacts.b1),
         "b2": op_norm(artifacts.b2),

@@ -44,6 +44,9 @@ _ASCENT_GAIN = 1e-6
 # step lengths the ascent tries along each direction, in turn
 _ASCENT_TRIALS = (1.0, 0.25, 0.0625)
 
+# Gaussian samples norm_estimate draws, from the stream of np.random.default_rng(0)
+_SAMPLES = 32
+
 
 class EvaluationDomainError(ValueError):
     """Raised when a derivation is evaluated outside its algebra."""
@@ -175,8 +178,12 @@ class DerivationTable:
         """Inverse of to_json; malformed content raises KeyError or ValueError."""
         try:
             alg = NestAlgebra(obj["algebra"]["n"], tuple(obj["algebra"]["chain"]))
+            entries = obj["entries"]
+            # counted before any n x n array is built, so a small file that declares a large algebra fails at once
+            if len(entries) != alg.unit_count:
+                raise ValueError(f"{len(entries)} entries, expected one for each of the {alg.unit_count} basis units")
             values = {}
-            for e in obj["entries"]:
+            for e in entries:
                 key = (int(e["i"]), int(e["j"]))
                 if key != (e["i"], e["j"]):
                     raise ValueError(f"non-integer unit index ({e['i']!r}, {e['j']!r})")
@@ -567,13 +574,14 @@ def _ascend(table: DerivationTable, a: np.ndarray, image: np.ndarray, lower: flo
     return lower, a
 
 
-def norm_estimate(table: DerivationTable, samples: int = 32, seed: int = 0, generator=None) -> NormEstimate:
+def norm_estimate(table: DerivationTable, generator=None) -> NormEstimate:
     """Bounds on the derivation norm over the unit ball of the algebra.
 
     lower: op_norm(delta(a)) at a unit-norm a of the algebra, returned as the
-    witness.  The samples, unit-norm Gaussian elements on the pattern, are
-    evaluated together by one _combine; the best of them (the first, on a tie)
-    starts a first-order ascent (_ascend) of at most _ASCENT_STEPS steps.
+    witness.  The _SAMPLES samples of one fixed stream, unit-norm Gaussian
+    elements on the pattern, are evaluated together by one _combine; the best
+    of them (the first, on a tie) starts a first-order ascent (_ascend) of at
+    most _ASCENT_STEPS steps.
     upper (when the inner generator c is known): 2 * min over lam of
     op_norm(c - lam I), valid because the restricted norm is at most the norm
     of d_c on all of B(H), which is exactly that (Stampfli).  It is
@@ -584,16 +592,13 @@ def norm_estimate(table: DerivationTable, samples: int = 32, seed: int = 0, gene
     Newton iteration in about 4 SVDs; a kink (a normal c) falls back to the
     ellipsoid method's own certificate.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
     alg = table.alg
     n = alg.n
     mask = alg.pattern_mask()
     ui, uj = alg.unit_index()
 
     # the stream order of drawing each sample's real part, then its imaginary part, sample by sample
-    draws = rng.standard_normal((samples, 2, n, n))
+    draws = np.random.default_rng(0).standard_normal((_SAMPLES, 2, n, n))
     sample = draws[:, 0] + 1j * draws[:, 1]
     sample[:, ~mask] = 0.0
     norms = np.linalg.norm(sample, 2, axis=(1, 2))[:, None, None]

@@ -256,7 +256,7 @@ def oracle_commutant_nullity(alg, tol):
 def oracle_check_structure(alg, trials=50, seed=0):
     """check_structure with one rank_one/contains/allclose check per basis vector of p, and the SVD commutant."""
     rng = np.random.default_rng(seed)
-    report = StructureReport(trials=trials)
+    report = StructureReport()
     n = alg.n
     interior = alg.interior_levels
     for t in range(trials):

@@ -53,7 +53,7 @@ def sweep():
         alg = NestAlgebra.triangular(n)
         c = random_complex(rng, (n, n))
         table = inner_from(alg, c)
-        est = norm_estimate(table, samples=8, seed=seed, generator=c)
+        est = norm_estimate(table, generator=c)
         scale = 1e-8 * (1 + op_norm(c))
         reports = {}
         for k in range(1, n):
@@ -216,7 +216,7 @@ def test_criterion_7_chain_machinery():
         alg = NestAlgebra.triangular(n)
         c = random_complex(rng, (n, n))
         table = inner_from(alg, c)
-        upper = norm_estimate(table, samples=4, seed=0, generator=c).upper
+        upper = norm_estimate(table, generator=c).upper
         family = chain_family(table)
         for lam, _ in family.lambdas.values():
             if abs(lam) > upper + 1e-8:
@@ -263,7 +263,7 @@ def test_criterion_9_structure_suite():
             interior = sorted(rng.choice(range(1, n), size=int(rng.integers(0, n)), replace=False).tolist())
             algebras.append(NestAlgebra(n, tuple(interior) + (n,)))
         for idx, alg in enumerate(algebras):
-            report = check_structure(alg, trials=5, seed=97 + idx)
+            report = check_structure(alg, seed=97 + idx)
             total_assertions += report.assertions
             failures.extend(failures_with_context(alg, report))
     ok = total_assertions >= 1000 and not failures

@@ -64,7 +64,7 @@ def test_prenormalization_scalars_bounded(rng):
         alg = NestAlgebra.triangular(n)
         c = random_complex(rng, (n, n))
         table = inner_from(alg, c)
-        upper = norm_estimate(table, samples=4, seed=0, generator=c).upper
+        upper = norm_estimate(table, generator=c).upper
         family = chain_family(table)
         for lam, _ in family.lambdas.values():
             assert abs(lam) <= upper + 1e-8
@@ -117,7 +117,7 @@ def test_member_norms_bounded_after_normalization(rng):
     alg = NestAlgebra.triangular(5)
     c = random_complex(rng, (5, 5))
     table = inner_from(alg, c)
-    upper = norm_estimate(table, samples=4, seed=0, generator=c).upper
+    upper = norm_estimate(table, generator=c).upper
     normalized = normalize_chain(chain_family(table))
     for m in normalized.members:
         assert op_norm(m.b) <= 2 * upper + 1e-8

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -133,9 +134,23 @@ def test_reports_are_byte_identical(tmp_path):
         table_path = tmp_path / f"table_{run}.json"
         report_path = tmp_path / f"report_{run}.json"
         main(["generate", "--n", "3", "--seed", "5", "--out", str(table_path)])
-        main(["construct", "--input", str(table_path), "--seed", "5", "--out", str(report_path)])
+        main(["construct", "--input", str(table_path), "--out", str(report_path)])
         paths.append(report_path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("command", ["construct", "verify"])
+def test_seed_is_not_an_option_of_construct_or_verify(tmp_path, command):
+    # the norm-sampling stream is fixed, so a report follows from its input files and flags alone
+    table_path = tmp_path / "table.json"
+    main(["generate", "--n", "3", "--seed", "5", "--out", str(table_path)])
+    args = [command, "--input", str(table_path), "--seed", "5", "--out", str(tmp_path / "o.json")]
+    if command == "verify":
+        args += ["--b", str(table_path) + ".generator.json"]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == EXIT_CONFIG
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_verify_accepts_constructed_b(tmp_path):
@@ -280,6 +295,7 @@ BAD_GENERATORS = {
     "wrong_shape": json.dumps({"rows": 2, "cols": 2, "data": [[1.0, 0.0]] * 4}),
     "fractional_shape": json.dumps({"rows": 3.5, "cols": 3, "data": [[1.0, 0.0]] * 9}),
     "infinite_shape": json.dumps({"rows": float("inf"), "cols": 3, "data": [[1.0, 0.0]] * 9}),
+    "integer_shape_beyond_float": json.dumps({"rows": 10**400, "cols": 3, "data": []}),
 }
 
 
@@ -351,3 +367,38 @@ def test_tol_must_be_finite_and_positive(tmp_path, command, tol):
         main([command, *args, "--tol", tol, "--out", str(tmp_path / "o.json")])
     assert exc.value.code == EXIT_CONFIG
     assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("command", ["construct", "chain"])
+@pytest.mark.parametrize("n, chain, units", [(3000, [1500, 3000], 6_750_000), (100000, [100000], 10**10)])
+def test_small_file_declaring_a_large_algebra_is_rejected_at_once(tmp_path, capsys, monkeypatch, command, n, chain, units):
+    def refuse(*args):
+        raise AssertionError("built before the entries were counted")
+
+    table_path = tmp_path / "table.json"
+    table_path.write_text(json.dumps({"algebra": {"n": n, "chain": chain}, "entries": []}))
+    monkeypatch.setattr(NestAlgebra, "pattern_mask", refuse)
+    monkeypatch.setattr(NestAlgebra, "basis_units", refuse)
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main([command, "--input", str(table_path), "--out", str(tmp_path / "o.json")]) == EXIT_CONFIG
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"config error: bad derivation table {table_path}: 0 entries, expected one for each of the {units} basis units\n"
+    )
+
+
+@pytest.mark.parametrize("flag", ["--input", "--generator", "--b"])
+def test_deeply_nested_json_is_config_error(tmp_path, capsys, flag):
+    table_path = tmp_path / "table.json"
+    main(["generate", "--n", "3", "--seed", "2", "--out", str(table_path)])
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    generator = str(table_path) + ".generator.json"
+    files = {"--input": str(table_path), "--generator": generator, "--b": generator, flag: str(deep)}
+    args = ["verify", *(arg for pair in files.items() for arg in pair), "--out", str(tmp_path / "o.json")]
+    capsys.readouterr()
+    assert main(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad ") and err.endswith(f"{deep}: JSON nested too deeply to parse\n")
+    assert err.count("\n") == 1

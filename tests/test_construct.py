@@ -19,6 +19,7 @@ from nestderiv.construct import (
 from nestderiv.derivation import (
     DerivationTable,
     EvaluationDomainError,
+    distance_to_scalars,
     inner_from,
     norm_estimate,
     validate,
@@ -45,6 +46,7 @@ from oracles import (
     oracle_c1,
     oracle_c2,
     oracle_evaluate,
+    oracle_norm_estimate,
     oracle_rule_max,
     oracle_verify_residuals,
 )
@@ -430,6 +432,14 @@ class TestRankOneConstruction:
 
 
 class TestVerify:
+    @given(construction_tables())
+    @settings(max_examples=30, deadline=None)
+    def test_norm_bounds_are_the_sequential_oracles_at_32_samples_from_seed_0(self, table_and_c):
+        table, c = table_and_c
+        norms = verify(table, build_b(table, default_choices(table.alg)), generator=c).norms
+        assert norms["delta_lower"] == oracle_norm_estimate(table, samples=32, seed=0)[0]
+        assert norms["delta_upper"] == (None if c is None else 2.0 * distance_to_scalars(c)[1])
+
     def test_zero_table(self):
         alg = NestAlgebra.triangular(3)
         table = zero_table(alg)
@@ -458,7 +468,7 @@ class TestVerify:
             alg = NestAlgebra.triangular(n) if chain is None else NestAlgebra(n, chain)
             c = random_complex(rng, (n, n))
             table = inner_from(alg, c)
-            est = norm_estimate(table, samples=8, seed=0, generator=c)
+            est = norm_estimate(table, generator=c)
             interior = [k for k in range(1, alg.num_levels + 1) if alg.chain[k - 1] < n]
             for k in interior:
                 art = build_b(table, choices_for(alg, k))

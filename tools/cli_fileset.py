@@ -18,8 +18,8 @@ unless they hold the same names with byte-identical contents.  For each
 differing JSON file it prints one line per differing key path with both
 values, as in ``chain-c.json: family[0].b.data[3][0]: 0.12 != 0.22``, the
 first LISTED of them in sorted key order and then ``and N more``.  Every report
-is deterministic for fixed arguments and seed, so a change that should not
-move any result must leave the set byte-identical.
+is deterministic for fixed arguments, so a change that should not move any
+result must leave the set byte-identical.
 """
 
 import argparse
