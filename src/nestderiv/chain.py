@@ -14,7 +14,7 @@ import numpy as np
 
 from .algebra import NestAlgebra
 from .construct import ConstructionChoices, _b1_family, default_choices
-from .derivation import DerivationTable, unit_commutators
+from .derivation import DerivationTable, unit_defects
 from .linalg import _max_op_norm, matrix_to_json
 
 
@@ -99,4 +99,6 @@ def stabilized_b(family: ChainFamily) -> np.ndarray:
 
 def implements_on_projection(table: DerivationTable, b: np.ndarray, k: int) -> float:
     """max over basis units u of op_norm((delta(u) - [b, u]) p) for p at level k, by _max_op_norm."""
-    return _max_op_norm((table.stacked() - unit_commutators(table.alg, b)) @ table.alg.lattice_projection(k))[0]
+    defects = unit_defects(table, b)
+    defects[:, :, table.alg.lattice_projection(k).diagonal() == 0] = 0.0
+    return _max_op_norm(defects)[0]

@@ -51,18 +51,19 @@ class TableRejected(Exception):
 
 
 def _write_json(path: str, obj: dict):
-    """Atomic write: temp file in the target directory, then rename."""
+    """Atomic write: temp file in the target directory, then rename; an OSError names path, not the temp file."""
     payload = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             handle.write(payload)
         os.replace(tmp, path)
-    except OSError:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def _read_json(path: str) -> dict:
@@ -160,13 +161,9 @@ def cmd_generate(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     _check_table_size(alg.n, alg.unit_count)
-    if args.zero:
-        c = np.zeros((alg.n, alg.n), dtype=complex)
-    else:
-        rng = np.random.default_rng(args.seed)
-        c = rng.standard_normal((alg.n, alg.n)) + 1j * rng.standard_normal((alg.n, alg.n))
+    rng = np.random.default_rng(args.seed)
+    c = rng.standard_normal((alg.n, alg.n)) + 1j * rng.standard_normal((alg.n, alg.n))
     table = inner_from(alg, c)
-    table.tol = args.tol
     report = validate(table)
     _write_json(args.out, table.to_json())
     generator_path = args.out + ".generator.json"
@@ -251,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--chain", help="comma-separated invariant dimensions, default 1..n")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--tol", type=_tolerance, default=1e-9)
-    gen.add_argument("--zero", action="store_true", help="zero generator (zero derivation)")
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_generate)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import NestAlgebra
-from .derivation import DerivationTable, NormEstimate, evaluate, norm_estimate, rank_one_images, unit_commutators
+from .derivation import DerivationTable, NormEstimate, evaluate, norm_estimate, rank_one_images, unit_defects
 from .linalg import _as_matrix, _as_vector, _max_op_norm, basis_vector, matrix_to_json, op_norm, scalar_identity_part
 
 
@@ -185,13 +185,23 @@ def build_c2(table: DerivationTable, choices: ConstructionChoices, basis=None) -
     = xi_a (x) (-eta1^H delta(q_a) p-perp + s xi_a^H), s = eta1^H delta(q1) xi0.
     delta(q_a) for every a and delta(q1) come from one rank_one_images call.
     The result is independent of the basis (that is the linearity lemma,
-    tested separately).
+    tested separately).  A basis given is checked first: n - d vectors, exactly
+    zero on the first d coordinates, with ||B B^H - I|| <= 1e-12, else ValueError.
     """
     d = choices.validate(table.alg)
     n = table.alg.n
     xi0 = _as_vector(choices.xi0)
     eta1 = _as_vector(choices.eta1)
-    basis = np.eye(n)[d:] if basis is None else np.array([_as_vector(xi) for xi in basis])
+    if basis is None:
+        basis = np.eye(n)[d:]
+    else:
+        basis = np.array([_as_vector(xi) for xi in basis])
+        if (
+            basis.shape != (n - d, n)
+            or np.any(basis[:, :d] != 0)
+            or op_norm(basis @ basis.conj().T - np.eye(n - d)) > 1e-12
+        ):
+            raise ValueError(f"basis must be an orthonormal basis of p-perp: {n - d} vectors, first {d} entries zero")
 
     images = rank_one_images(table, np.tile(eta1, (len(basis) + 1, 1)), np.vstack([basis, xi0]))
     s = eta1.conj() @ images[-1] @ xi0
@@ -266,16 +276,18 @@ def verify(
 ) -> VerificationReport:
     """Residual verification of the implementation claims.
 
-    Measures commutator residuals of b2 and b against the table over the pSp
-    units, of b over the complementary corner units and over all units, the
-    triple-rule residual, the operator norms against the derivation-norm
-    bounds, and (when the inner generator is known) the gauge scalar by which
-    b differs from it.  The pass flags compare against tol, by default the
+    Measures the commutator residuals of b against the table over the pSp
+    units, the complementary corner units and all units, the triple-rule
+    residual, the operator norms against the derivation-norm bounds, and
+    (when the inner generator is known) the gauge scalar by which b differs
+    from it.  b2 is not measured apart: c2 = b - b2 has no entry in p's rows
+    or columns, so [b, E_u] = [b2, E_u] for every pSp unit u, and b2 enters
+    only through its norm.  The pass flags compare against tol, by default the
     table tolerance scaled like validate's: table.tol * table.value_scale.
     Each residual is a maximum from _max_op_norm, which takes SVDs only of the
     units that can reach it, and worst_units names the first unit in basis
-    order that reaches it: on pSp, b2's first, then b's; for rule_max, the
-    first in triple_rule_residual's pair order.
+    order that reaches it; for rule_max, the first in triple_rule_residual's
+    pair order.
     """
     alg = table.alg
     choices = artifacts.choices
@@ -287,17 +299,10 @@ def verify(
     ui, uj = alg.unit_index()
     psp, corner = np.flatnonzero((ui < d) & (uj < d)), np.flatnonzero((ui >= d) & (uj >= d))
 
-    def defects(x):
-        """delta(E_u) - [x, E_u] for every basis unit, written over the commutators."""
-        out = unit_commutators(alg, x)
-        return np.subtract(table.stacked(), out, out=out)
-
-    # each maximum with its first index; on pSp b2's defects come before b's, and max keeps the first
-    on_b2 = _max_op_norm(defects(artifacts.b2)[psp])[:2]
-    defect_b = defects(artifacts.b)
-    residual_pSp, at_pSp = max(on_b2, _max_op_norm(defect_b[psp])[:2], key=lambda found: found[0])
-    residual_corner, at_corner, _ = _max_op_norm(defect_b[corner])
-    residual_full, at_full, _ = _max_op_norm(defect_b)
+    defects = unit_defects(table, artifacts.b)
+    residual_pSp, at_pSp, _ = _max_op_norm(defects[psp])
+    residual_corner, at_corner, _ = _max_op_norm(defects[corner])
+    residual_full, at_full, _ = _max_op_norm(defects)
 
     estimate = norms if norms is not None else norm_estimate(table, generator=generator)
     norm_data = {

@@ -241,6 +241,12 @@ def unit_commutators(alg: NestAlgebra, x) -> np.ndarray:
     return out
 
 
+def unit_defects(table: DerivationTable, x) -> np.ndarray:
+    """delta(E_u) - [x, E_u] for every basis unit u, in basis order, written over unit_commutators' array."""
+    out = unit_commutators(table.alg, x)
+    return np.subtract(table.stacked(), out, out=out)
+
+
 def inner_from(alg: NestAlgebra, c) -> DerivationTable:
     """The inner derivation d_c(a) = c a - a c, tabulated on the basis units."""
     return DerivationTable(alg, dict(zip(alg.basis_units(), unit_commutators(alg, c))))

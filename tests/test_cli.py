@@ -6,7 +6,7 @@ import pytest
 
 from nestderiv import cli
 from nestderiv.algebra import NestAlgebra
-from nestderiv.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, MAX_TABLE_BYTES, main
+from nestderiv.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, MAX_TABLE_BYTES, main
 from nestderiv.derivation import DerivationTable, validate
 from nestderiv.linalg import matrix_from_json, matrix_to_json
 
@@ -26,11 +26,29 @@ def test_generate_produces_valid_table(tmp_path):
     assert generator.shape == (2, 2)
 
 
-def test_generate_zero_flag(tmp_path):
-    out = tmp_path / "zero.json"
-    assert main(["generate", "--n", "3", "--zero", "--out", str(out)]) == EXIT_OK
-    table = DerivationTable.from_json(read(out))
-    assert all(not v.any() for v in table.values.values())
+@pytest.mark.parametrize("flag", [["--tol", "1e-6"], ["--zero"]], ids=["tol", "zero"])
+def test_tol_and_zero_are_not_options_of_generate(tmp_path, flag):
+    # a table's tolerance is set by --tol of the command that checks it, or read from the file's tol field
+    out = tmp_path / "table.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--n", "3", *flag, "--out", str(out)])
+    assert exc.value.code == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["missing_directory", "existing_directory"])
+def test_io_error_names_the_out_path(tmp_path, capsys, target):
+    table_path = tmp_path / "table.json"
+    main(["generate", "--n", "3", "--seed", "2", "--out", str(table_path)])
+    out = tmp_path / "missing" / "a.json" if target == "missing_directory" else tmp_path / "outdir"
+    if target == "existing_directory":
+        out.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(["construct", "--input", str(table_path), "--out", str(out)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error: ") and f"'{out}'" in err and ".tmp" not in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_generate_invalid_chain_is_config_error(tmp_path):
@@ -358,13 +376,12 @@ def test_malformed_table_is_config_error(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
-@pytest.mark.parametrize("command", ["generate", "construct", "chain"])
+@pytest.mark.parametrize("command", ["construct", "chain"])
 def test_tol_must_be_finite_and_positive(tmp_path, command, tol):
     table_path = tmp_path / "table.json"
     main(["generate", "--n", "3", "--seed", "2", "--out", str(table_path)])
-    args = ["--n", "3"] if command == "generate" else ["--input", str(table_path)]
     with pytest.raises(SystemExit) as exc:
-        main([command, *args, "--tol", tol, "--out", str(tmp_path / "o.json")])
+        main([command, "--input", str(table_path), "--tol", tol, "--out", str(tmp_path / "o.json")])
     assert exc.value.code == EXIT_CONFIG
     assert not (tmp_path / "o.json").exists()
 

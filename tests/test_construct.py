@@ -209,6 +209,37 @@ class TestBuildC2:
             rotated = build_c2(table, choices, basis=basis)
             assert op_norm(rotated - reference) < 1e-10 * table.value_scale
 
+    def test_no_entry_in_p_rows_or_columns(self, rng):
+        # so [b, E_u] = [b2, E_u] for every pSp unit u, which verify relies on
+        for chain in [(1, 2, 3, 4, 5, 6), (2, 5, 7), (1, 4)]:
+            alg = NestAlgebra(chain[-1], chain)
+            n = alg.n
+            table = inner_from(alg, random_complex(rng, (n, n)))
+            for k in alg.interior_levels:
+                d = alg.chain[k - 1]
+                choices = choices_for(alg, k)
+                for _ in range(3):
+                    basis = np.zeros((n - d, n), dtype=complex)
+                    basis[:, d:] = np.linalg.qr(random_complex(rng, (n - d, n - d)))[0].T
+                    for c2 in (build_c2(table, choices), build_c2(table, choices, basis=basis)):
+                        assert not c2[:d].any() and not c2[:, :d].any()
+
+    @pytest.mark.parametrize("bad", ["one_too_few", "norm_two", "repeated", "in_p"])
+    def test_basis_that_is_not_an_orthonormal_basis_of_p_perp_is_rejected(self, rng, bad):
+        alg = NestAlgebra.triangular(6)
+        table = inner_from(alg, random_complex(rng, (6, 6)))
+        choices = default_choices(alg)
+        assert alg.chain[choices.k - 1] == 3
+        e = np.eye(6)
+        basis = {
+            "one_too_few": e[3:5],
+            "norm_two": 2 * e[3:],
+            "repeated": e[[3, 3, 5]],
+            "in_p": e[[0, 4, 5]],
+        }[bad]
+        with pytest.raises(ValueError, match="orthonormal basis of p-perp"):
+            build_c2(table, choices, basis=basis)
+
 
 class TestBuildB:
     def test_zero_table(self):
@@ -420,12 +451,12 @@ class TestRankOneConstruction:
             assert abs(triple_rule_residual(table, choices).max_residual - oracle_rule_max(table, choices)) <= 1e-12 * scale
 
     def test_c2_basis_vector_with_a_component_in_p_is_outside_the_domain(self):
-        # q_a = eta1 xi_a^H puts 0.6 at (1, 0), below the pattern of T_4
+        # q_a = eta1 xi_a^H puts 0.6 at (1, 0), below the pattern of T_4; build_c2 refuses the basis before that
         alg = NestAlgebra.triangular(4)
         table = inner_from(alg, np.arange(16).reshape(4, 4).astype(complex))
         choices = ConstructionChoices(k=2, xi0=basis_vec(4, 2), eta1=basis_vec(4, 1))
         basis = [np.array([0.6, 0, 0.8, 0], dtype=complex), basis_vec(4, 3)]
-        with pytest.raises(EvaluationDomainError):
+        with pytest.raises(ValueError, match="p-perp"):
             build_c2(table, choices, basis=basis)
         with pytest.raises(EvaluationDomainError):
             oracle_build_c2(table, choices, basis=basis)
@@ -439,6 +470,25 @@ class TestVerify:
         norms = verify(table, build_b(table, default_choices(table.alg)), generator=c).norms
         assert norms["delta_lower"] == oracle_norm_estimate(table, samples=32, seed=0)[0]
         assert norms["delta_upper"] == (None if c is None else 2.0 * distance_to_scalars(c)[1])
+
+    def test_one_commutator_array_per_call(self, rng, monkeypatch):
+        # b2's pSp defects are b's, so verify forms the commutators of b alone
+        from nestderiv import construct, derivation
+
+        calls = []
+
+        def counted(alg, x, inner=derivation.unit_commutators):
+            calls.append(x)
+            return inner(alg, x)
+
+        for module in (derivation, construct):
+            monkeypatch.setattr(module, "unit_commutators", counted, raising=False)
+        alg = NestAlgebra(6, (2, 3, 6))
+        table = inner_from(alg, random_complex(rng, (6, 6)))
+        art = build_b(table, default_choices(alg))
+        calls.clear()
+        verify(table, art)
+        assert len(calls) == 1 and calls[0] is art.b
 
     def test_zero_table(self):
         alg = NestAlgebra.triangular(3)

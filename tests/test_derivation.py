@@ -17,6 +17,7 @@ from nestderiv.derivation import (
     norm_estimate,
     rank_one_images,
     unit_commutators,
+    unit_defects,
     validate,
 )
 from nestderiv.linalg import DimensionError, matrix_to_json, op_norm
@@ -89,7 +90,8 @@ class TestUnitCommutators:
             table = inner_from(alg, random_complex(rng, (n, n)))
         else:
             table = DerivationTable(alg, {u: random_complex(rng, (n, n)) for u in alg.basis_units()})
-        defects = table.stacked() - unit_commutators(alg, b)
+        defects = unit_defects(table, b)
+        assert defects.tobytes() == (table.stacked() - unit_commutators(alg, b)).tobytes()
         assert linalg._max_op_norm(defects)[0] == max(oracle_commutator_residuals(table, b))
         for k in range(1, alg.num_levels + 1):
             p = alg.lattice_projection(k)
