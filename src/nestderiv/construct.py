@@ -13,8 +13,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import NestAlgebra
-from .derivation import DerivationTable, NormEstimate, evaluate, norm_estimate, rank_one_images, unit_defects
-from .linalg import _as_matrix, _as_vector, _max_op_norm, basis_vector, matrix_to_json, op_norm, scalar_identity_part
+from .derivation import (
+    DerivationTable,
+    NormEstimate,
+    _as_operator,
+    evaluate,
+    norm_estimate,
+    rank_one_images,
+    unit_defects,
+)
+from .linalg import _as_vector, _max_op_norm, basis_vector, matrix_to_json, op_norm, scalar_identity_part
 
 
 @dataclass(frozen=True)
@@ -287,11 +295,13 @@ def verify(
     Each residual is a maximum from _max_op_norm, which takes SVDs only of the
     units that can reach it, and worst_units names the first unit in basis
     order that reaches it; for rule_max, the first in triple_rule_residual's
-    pair order.
+    pair order.  A generator that is not n x n raises DimensionError.
     """
     alg = table.alg
     choices = artifacts.choices
     d = choices.validate(alg)
+    if generator is not None:
+        generator = _as_operator(alg, generator, "generator")
     if tol is None:
         tol = table.tol * table.value_scale
 
@@ -315,7 +325,7 @@ def verify(
 
     gauge = None
     if generator is not None:
-        gauge = scalar_identity_part(artifacts.b - _as_matrix(generator))
+        gauge = scalar_identity_part(artifacts.b - generator)
 
     units = alg.basis_units()
     return VerificationReport(

@@ -17,6 +17,7 @@ from .algebra import NestAlgebra
 from .linalg import (
     DimensionError,
     _as_matrix,
+    _json_number,
     _max_op_norm,
     matrix_from_json,
     matrix_to_json,
@@ -38,14 +39,11 @@ _NEWTON_SVDS = 11
 _MAX_CUTS = 500
 
 # first-order steps norm_estimate's ascent takes at most, and the relative gain of a step below which it stops
-_ASCENT_STEPS = 5
+_ASCENT_STEPS = 8
 _ASCENT_GAIN = 1e-6
 
 # step lengths the ascent tries along each direction, in turn
 _ASCENT_TRIALS = (1.0, 0.25, 0.0625)
-
-# Gaussian samples norm_estimate draws, from the stream of np.random.default_rng(0)
-_SAMPLES = 32
 
 
 class EvaluationDomainError(ValueError):
@@ -175,22 +173,28 @@ class DerivationTable:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DerivationTable":
-        """Inverse of to_json; malformed content raises KeyError or ValueError."""
+        """Inverse of to_json; malformed content raises KeyError or ValueError.
+
+        n, the chain entries, the unit indices, tol and every matrix dimension
+        and entry part must be JSON numbers: a bool or a string is rejected,
+        not read as 1, 0 or the number it spells.
+        """
         try:
-            alg = NestAlgebra(obj["algebra"]["n"], tuple(obj["algebra"]["chain"]))
+            n, chain = obj["algebra"]["n"], obj["algebra"]["chain"]
+            alg = NestAlgebra(_json_number(n, "n"), tuple(_json_number(d, "a chain entry") for d in chain))
             entries = obj["entries"]
             # counted before any n x n array is built, so a small file that declares a large algebra fails at once
             if len(entries) != alg.unit_count:
                 raise ValueError(f"{len(entries)} entries, expected one for each of the {alg.unit_count} basis units")
             values = {}
             for e in entries:
-                key = (int(e["i"]), int(e["j"]))
+                key = (int(_json_number(e["i"], "a unit index")), int(_json_number(e["j"], "a unit index")))
                 if key != (e["i"], e["j"]):
                     raise ValueError(f"non-integer unit index ({e['i']!r}, {e['j']!r})")
                 if key in values:
                     raise ValueError(f"duplicate entry for unit {key}")
                 values[key] = matrix_from_json(e["value"])
-            tol = float(obj.get("tol", 1e-9))
+            tol = float(_json_number(obj.get("tol", 1e-9), "tol"))
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed table: {exc}") from exc
         return cls(alg, values, tol=tol)
@@ -215,12 +219,21 @@ class NormEstimate:
     """Bounds on the derivation norm.
 
     lower is op_norm(delta(witness)), witness a unit-norm element of the
-    algebra; upper, when the inner generator is known, is analytic.
+    algebra reached by a deterministic ascent from a matrix unit; upper, when
+    the inner generator is known, is analytic.
     """
 
     lower: float
     upper: float | None = None
     witness: np.ndarray | None = None
+
+
+def _as_operator(alg: NestAlgebra, x, name: str = "operator") -> np.ndarray:
+    """x as an n x n complex matrix on the space of alg; DimensionError for any other shape."""
+    x = _as_matrix(x)
+    if x.shape != (alg.n, alg.n):
+        raise DimensionError(f"{name} must be {alg.n}x{alg.n}, got {x.shape}")
+    return x
 
 
 def unit_commutators(alg: NestAlgebra, x) -> np.ndarray:
@@ -230,9 +243,7 @@ def unit_commutators(alg: NestAlgebra, x) -> np.ndarray:
     placed in row i.  Written in that order onto zeros, every entry is
     bit-identical to x @ E_ij - E_ij @ x.
     """
-    x = _as_matrix(x)
-    if x.shape != (alg.n, alg.n):
-        raise DimensionError(f"operator must be {alg.n}x{alg.n}, got {x.shape}")
+    x = _as_operator(alg, x)
     ui, uj = alg.unit_index()
     rows = np.arange(len(ui))
     out = np.zeros((len(ui), alg.n, alg.n), dtype=complex)
@@ -584,10 +595,12 @@ def norm_estimate(table: DerivationTable, generator=None) -> NormEstimate:
     """Bounds on the derivation norm over the unit ball of the algebra.
 
     lower: op_norm(delta(a)) at a unit-norm a of the algebra, returned as the
-    witness.  The _SAMPLES samples of one fixed stream, unit-norm Gaussian
-    elements on the pattern, are evaluated together by one _combine; the best
-    of them (the first, on a tie) starts a first-order ascent (_ascend) of at
-    most _ASCENT_STEPS steps.
+    witness.  The ascent starts from the basis unit E_u whose value has the
+    largest Frobenius norm (the first in basis order on a tie; the squares may
+    overflow to inf, as in _max_op_norm, and the first such unit is taken),
+    at op_norm(evaluate(table, E_u)), and a first-order ascent (_ascend) of at
+    most _ASCENT_STEPS steps raises it.  Nothing is drawn at random, and lower
+    is at least op_norm(delta(E_u)).
     upper (when the inner generator c is known): 2 * min over lam of
     op_norm(c - lam I), valid because the restricted norm is at most the norm
     of d_c on all of B(H), which is exactly that (Stampfli).  It is
@@ -596,28 +609,28 @@ def norm_estimate(table: DerivationTable, generator=None) -> NormEstimate:
     most the certified gap 2e-12 * max(1, dist(c, C I)).  The certificate is a
     dual lower bound, |(c - mu I) x| with mu = x^H c x for unit x, met by a
     Newton iteration in about 4 SVDs; a kink (a normal c) falls back to the
-    ellipsoid method's own certificate.
+    ellipsoid method's own certificate.  A generator that is not n x n raises
+    DimensionError.
     """
     alg = table.alg
-    n = alg.n
-    mask = alg.pattern_mask()
+    if generator is not None:
+        generator = _as_operator(alg, generator, "generator")
+    values = table.stacked()
+    with np.errstate(over="ignore"):
+        power = np.abs(values)
+        power *= power
+        start = int(np.argmax(power.sum(axis=(1, 2))))  # the first of equal maxima
     ui, uj = alg.unit_index()
-
-    # the stream order of drawing each sample's real part, then its imaginary part, sample by sample
-    draws = np.random.default_rng(0).standard_normal((_SAMPLES, 2, n, n))
-    sample = draws[:, 0] + 1j * draws[:, 1]
-    sample[:, ~mask] = 0.0
-    norms = np.linalg.norm(sample, 2, axis=(1, 2))[:, None, None]
-    np.divide(sample, norms, out=sample, where=norms > 0)
-    images = _combine(sample[:, ui, uj], table.stacked(), n)
-    found = np.linalg.norm(images, 2, axis=(1, 2))
-    first = int(np.argmax(found))  # the first of equal maxima, as a scan keeping strict gains would
-    lower, witness = float(found[first]), sample[first]
+    witness = np.zeros((alg.n, alg.n), dtype=complex)
+    witness[ui[start], uj[start]] = 1.0
+    # evaluate's bits, not the stored value's: a -0.0 entry of the value is +0.0 in delta(E_u)
+    image = evaluate(table, witness)
+    lower = op_norm(image)
     if lower > 0:
-        lower, witness = _ascend(table, witness, images[first], lower)
+        lower, witness = _ascend(table, witness, image, lower)
 
     upper = None
     if generator is not None:
-        _, dist = distance_to_scalars(_as_matrix(generator))
+        _, dist = distance_to_scalars(generator)
         upper = 2.0 * dist
     return NormEstimate(lower=lower, upper=upper, witness=witness)

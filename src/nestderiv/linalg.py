@@ -5,6 +5,7 @@ second, so the rank-one map xi (x) eta sends zeta to <zeta, xi> eta and has
 matrix eta * xi^H.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -131,17 +132,33 @@ def matrix_to_json(a) -> dict:
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
 
 
+def _is_number_type(kind: type) -> bool:
+    """Whether kind is a type a JSON number decodes to, int or float; bool is an int to Python, not to JSON."""
+    return issubclass(kind, (int, float)) and not issubclass(kind, bool)
+
+
+def _json_number(x, what: str):
+    """x when it is a JSON number; ValueError naming what for a bool, a string or any other value."""
+    if not _is_number_type(type(x)):
+        raise ValueError(f"{what} must be a number, got {x!r}")
+    return x
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Inverse of matrix_to_json; rejects dimensions that are not non-negative integers and non-finite entries."""
+    """Inverse of matrix_to_json; rejects dimensions that are not non-negative integers and entries not finite numbers."""
     rows, cols = obj["rows"], obj["cols"]
     for d in (rows, cols):
-        if not math.isfinite(d) or int(d) != d or d < 0:
+        if not _is_number_type(type(d)) or not math.isfinite(d) or int(d) != d or d < 0:
             raise ValueError(f"matrix dimensions must be non-negative integers, got {rows!r} x {cols!r}")
     rows, cols = int(rows), int(cols)
     data = obj["data"]
     if len(data) != rows * cols:
         raise DimensionError(f"expected {rows * cols} entries, got {len(data)}")
     flat = np.array([complex(re, im) for re, im in data])
+    # complex() reads true and false as 1 and 0, so the parts' types are checked too, in one C-level pass
+    kinds = set(map(type, itertools.chain.from_iterable(data)))
+    if not all(map(_is_number_type, kinds)):
+        raise ValueError(f"matrix entries must be pairs of numbers, got parts of type {sorted(k.__name__ for k in kinds)}")
     if not np.all(np.isfinite(flat)):
         raise ValueError("non-finite matrix entry")
     return flat.reshape(rows, cols)

@@ -124,7 +124,11 @@ def oracle_validate(table):
 def oracle_commutator_residuals(table, b, p=None):
     """op_norm(delta(E_ij) - (b E_ij - E_ij b)), times p on the right when given, one unit at a time.
 
-    Returns the per-unit residuals as a list in basis order.
+    The diagonal projection p is applied by zeroing the columns outside it,
+    which keeps the signs of the zeros of the residual; residual @ p would turn
+    +0.0 entries into -0.0, which moves LAPACK's Householder signs and the last
+    bit of the norm.  Each masked residual is checked to equal residual @ p in
+    value.  Returns the per-unit residuals as a list in basis order.
     """
     alg = table.alg
     residuals = []
@@ -133,7 +137,10 @@ def oracle_commutator_residuals(table, b, p=None):
         e[u.i, u.j] = 1.0
         residual = table.values[u] - (b @ e - e @ b)
         if p is not None:
-            residual = residual @ p
+            masked = residual.copy()
+            masked[:, np.diag(p) == 0] = 0.0
+            assert np.array_equal(masked, residual @ p)
+            residual = masked
         residuals.append(float(np.linalg.norm(residual, 2)))
     return residuals
 
@@ -305,33 +312,30 @@ def oracle_evaluate(table, a):
     return out
 
 
-def oracle_best_sample(table, samples=32, seed=0):
-    """(value, a): norm_estimate's best sample, drawn and evaluated one at a time.
+def oracle_largest_unit(table):
+    """(value, a): norm_estimate's start, the matrix unit whose table value has the largest Frobenius norm.
 
-    Each sample is drawn real part then imaginary part, masked to the pattern,
-    normalized and evaluated through oracle_evaluate; the first of the largest
-    values is kept (a scan keeping strict gains).
+    The squared Frobenius norms are taken one value at a time, squares that
+    overflow becoming inf, and scanned in basis order keeping strict gains, so
+    the first of equal maxima wins.  value is the norm of oracle_evaluate at
+    that unit.
     """
-    rng = np.random.default_rng(seed)
     alg = table.alg
-    n = alg.n
-    mask = alg.pattern_mask()
-    best, best_a = -1.0, None
-    for _ in range(samples):
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        a[~mask] = 0.0
-        size = float(np.linalg.norm(a, 2))
-        a = a / size if size > 0 else a
-        val = float(np.linalg.norm(oracle_evaluate(table, a), 2))
-        if val > best:
-            best, best_a = val, a
-    return best, best_a
+    best, best_unit = -1.0, None
+    for u, value in table.values.items():
+        with np.errstate(over="ignore"):
+            square = float((np.abs(value) ** 2).sum())
+        if square > best:
+            best, best_unit = square, u
+    a = np.zeros((alg.n, alg.n), dtype=complex)
+    a[best_unit.i, best_unit.j] = 1.0
+    return float(np.linalg.norm(oracle_evaluate(table, a), 2)), a
 
 
-def oracle_norm_estimate(table, samples=32, seed=0):
+def oracle_norm_estimate(table):
     """(lower, witness) of norm_estimate, the ascent taken one unit and one candidate at a time.
 
-    From oracle_best_sample's a, when its value is positive: at most 5 steps,
+    From oracle_largest_unit's a, when its value is positive: at most 8 steps,
     each along the polar factor of the gradient conj(u^H delta(E_ij) v) on the
     pattern, (u, v) the top singular pair of delta(a), masked to the pattern;
     lengths 1, 1/4 and 1/16 in turn, each candidate renormalized and evaluated
@@ -340,10 +344,10 @@ def oracle_norm_estimate(table, samples=32, seed=0):
     """
     alg = table.alg
     mask = alg.pattern_mask()
-    lower, a = oracle_best_sample(table, samples, seed)
+    lower, a = oracle_largest_unit(table)
     if lower <= 0:
         return lower, a
-    for _ in range(5):
+    for _ in range(8):
         u, _, vh = np.linalg.svd(oracle_evaluate(table, a))
         weights = np.outer(u[:, 0].conj(), vh[0].conj())
         gradient = np.zeros_like(a)

@@ -314,6 +314,9 @@ BAD_GENERATORS = {
     "fractional_shape": json.dumps({"rows": 3.5, "cols": 3, "data": [[1.0, 0.0]] * 9}),
     "infinite_shape": json.dumps({"rows": float("inf"), "cols": 3, "data": [[1.0, 0.0]] * 9}),
     "integer_shape_beyond_float": json.dumps({"rows": 10**400, "cols": 3, "data": []}),
+    "boolean_shape": json.dumps({"rows": True, "cols": 3, "data": [[1.0, 0.0]] * 3}),
+    "boolean_entry": json.dumps({"rows": 3, "cols": 3, "data": [[True, False]] + [[1.0, 0.0]] * 8}),
+    "string_entry": json.dumps({"rows": 3, "cols": 3, "data": [["1.0", 0.0]] + [[1.0, 0.0]] * 8}),
 }
 
 
@@ -360,6 +363,16 @@ MALFORMED_TABLES = {
     "fractional_n": lambda obj: obj["algebra"].update(n=3.5),
     "fractional_chain": lambda obj: obj["algebra"].update(chain=[1, 2.9, 3]),
     "infinite_n": lambda obj: obj["algebra"].update(n=float("inf")),
+    # JSON's true is not the number 1, nor "1e-9" the number 1e-9
+    "boolean_tol": lambda obj: obj.update(tol=True),
+    "string_tol": lambda obj: obj.update(tol="1e-9"),
+    "boolean_n": lambda obj: obj["algebra"].update(n=True),
+    "boolean_chain": lambda obj: obj["algebra"].update(chain=[True, 2, 3]),
+    "string_chain": lambda obj: obj["algebra"].update(chain=["1", 2, 3]),
+    "boolean_index": lambda obj: obj["entries"][1].update(j=True),
+    "boolean_value_shape": lambda obj: obj["entries"][0]["value"].update(rows=True),
+    "boolean_data_pair": lambda obj: obj["entries"][0]["value"]["data"].__setitem__(0, [True, False]),
+    "string_data_part": lambda obj: obj["entries"][0]["value"]["data"].__setitem__(0, [1.0, "0"]),
 }
 
 
@@ -372,7 +385,8 @@ def test_malformed_table_is_config_error(tmp_path, capsys, case):
     table_path.write_text(json.dumps(obj))
     capsys.readouterr()
     assert main(["construct", "--input", str(table_path), "--out", str(tmp_path / "o.json")]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: bad derivation table ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad derivation table ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])

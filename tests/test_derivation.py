@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nestderiv import derivation, linalg
@@ -25,11 +25,11 @@ from nestderiv.linalg import DimensionError, matrix_to_json, op_norm
 from conftest import algebras, random_complex, unit
 from oracles import (
     oracle_batched_validate,
-    oracle_best_sample,
     oracle_commutator_residuals,
     oracle_distance_to_scalars,
     oracle_enclosing_disk_radius,
     oracle_evaluate,
+    oracle_largest_unit,
     oracle_norm_estimate,
     oracle_validate,
     oracle_value_scale,
@@ -78,6 +78,8 @@ def norm_tables(draw):
 class TestUnitCommutators:
     @given(algebras(), st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
     @settings(max_examples=60, deadline=None)
+    # residual @ p gave the top level of T_3 a -0.0 zero and a norm one bit off: 4.9242909147453995 for 4.9242909147454
+    @example(alg=NestAlgebra.triangular(3), seed=12788426, inner=True)
     def test_matches_products_and_per_unit_oracle(self, alg, seed, inner):
         rng = np.random.default_rng(seed)
         n = alg.n
@@ -122,6 +124,9 @@ class TestDerivationTable:
                 DerivationTable.from_json({**obj, "entries": entries})
         with pytest.raises(ValueError, match="tol"):
             DerivationTable.from_json({**obj, "tol": 0})
+        for tol in (True, "1e-9", None):
+            with pytest.raises(ValueError, match=f"^tol must be a number, got {tol!r}$"):
+                DerivationTable.from_json({**obj, "tol": tol})
 
     @given(norm_tables(), st.booleans())
     @settings(max_examples=40, deadline=None)
@@ -517,6 +522,8 @@ class TestNormEstimate:
         est = norm_estimate(zero_table(alg), generator=np.zeros((2, 2)))
         assert est.lower == 0.0
         assert est.upper == pytest.approx(0.0, abs=1e-9)
+        # the first unit in basis order, every value tied at 0
+        assert est.witness.tobytes() == unit(2, 0, 0).tobytes()
 
     def test_diagonal_generator_upper(self):
         alg = NestAlgebra.triangular(2)
@@ -537,12 +544,12 @@ class TestNormEstimate:
     @given(norm_tables(), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_matches_sequential_oracle(self, table, seed):
-        """The oracle at 32 samples from the stream of seed 0, bit for bit; seed draws the generator and a change."""
+        """The oracle's ascent from the largest unit, bit for bit; seed draws the generator and a change."""
         n = table.alg.n
         rng = np.random.default_rng(seed)
         c = random_complex(rng, (n, n))
         est = norm_estimate(table, generator=c)
-        lower, witness = oracle_norm_estimate(table, samples=32, seed=0)
+        lower, witness = oracle_norm_estimate(table)
         assert est.lower == lower and est.witness.tobytes() == witness.tobytes()
         assert est.upper == 2.0 * distance_to_scalars(c)[1]
         if not any(v.any() for v in table.values.values()):
@@ -552,19 +559,78 @@ class TestNormEstimate:
         u = units[seed % len(units)]
         table.values[u] = table.values[u] + random_complex(rng, (n, n))
         est = norm_estimate(table)
-        lower, witness = oracle_norm_estimate(table, samples=32, seed=0)
+        lower, witness = oracle_norm_estimate(table)
         assert est.lower == lower and est.witness.tobytes() == witness.tobytes()
 
     @given(norm_tables())
     @settings(max_examples=40, deadline=None)
-    def test_witness_reaches_lower_from_the_best_sample(self, table):
-        """lower is op_norm(delta(witness)) to the bit, witness unit-norm on the pattern, lower >= the best sample."""
+    def test_witness_reaches_lower_from_the_largest_unit(self, table):
+        """lower is op_norm(delta(witness)) to the bit, witness unit-norm on the pattern, lower >= the start's norm."""
         est = norm_estimate(table)
         mask = table.alg.pattern_mask()
         assert est.lower == op_norm(evaluate(table, est.witness))
         assert abs(op_norm(est.witness) - 1.0) <= 1e-12
         assert not np.any(est.witness[~mask])
-        assert est.lower >= oracle_best_sample(table, samples=32, seed=0)[0]
+        start, e = oracle_largest_unit(table)
+        assert est.lower >= start == op_norm(evaluate(table, e))
+
+    def test_draws_nothing_at_random(self, rng, monkeypatch):
+        table = inner_from(NestAlgebra(8, (2, 5, 8)), random_complex(rng, (8, 8)))
+        first = norm_estimate(table)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("norm_estimate drew a random number")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        second = norm_estimate(table)
+        assert second.lower == first.lower and second.witness.tobytes() == first.witness.tobytes()
+
+    def test_start_is_the_first_largest_unit(self, rng, monkeypatch):
+        """With the ascent off, the witness is the start: the largest Frobenius norm, the first on a tie."""
+        monkeypatch.setattr(derivation, "_ASCENT_STEPS", 0)
+        alg = NestAlgebra(6, (2, 3, 6))
+        units = alg.basis_units()
+        value = random_complex(rng, (6, 6))
+        cases = {
+            "every value tied": ({u: value for u in units}, units[0]),
+            "two tied, later units": ({u: value if r in (3, 5) else 0.5 * value for r, u in enumerate(units)}, units[3]),
+            # the same Frobenius norm, a different operator norm: the tie still goes to the first
+            "tied, the second larger": (
+                {u: np.diag([1.0, 1, 1, 1, 0, 0]) if r == 2 else np.diag([2.0, 0, 0, 0, 0, 0]) if r == 4 else 0 * value
+                 for r, u in enumerate(units)},
+                units[2],
+            ),
+            "one largest": ({u: (2.0 if r == 7 else 1.0) * value for r, u in enumerate(units)}, units[7]),
+        }
+        for name, (values, first) in cases.items():
+            table = DerivationTable(alg, values)
+            est = norm_estimate(table)
+            assert est.witness.tobytes() == unit(6, first.i, first.j).tobytes(), name
+            assert est.lower == op_norm(evaluate(table, est.witness)) == oracle_largest_unit(table)[0], name
+
+    def test_overflowing_squares_give_a_finite_exact_lower(self, rng):
+        """Values near 1e200 square to inf: the first unit whose squares overflow starts the ascent, and lower stays exact."""
+        alg = NestAlgebra.triangular(5)
+        table = inner_from(alg, 1e200 * random_complex(rng, (5, 5)))
+        with np.errstate(over="ignore"):
+            assert np.isinf((np.abs(table.stacked()) ** 2).sum(axis=(1, 2))).all()
+        est = norm_estimate(table)
+        lower, witness = oracle_norm_estimate(table)
+        assert math.isfinite(est.lower) and est.lower > 1e200
+        assert est.lower == lower and est.witness.tobytes() == witness.tobytes()
+        assert est.lower == op_norm(evaluate(table, est.witness))
+        assert est.lower >= op_norm(evaluate(table, unit(5, 0, 0)))
+
+    def test_generator_must_be_n_by_n(self, rng):
+        alg = NestAlgebra.triangular(5)
+        c = random_complex(rng, (5, 5))
+        table = inner_from(alg, c)
+        for shape in ((1, 1), (3, 3), (5, 4), (6, 6)):
+            with pytest.raises(DimensionError, match="generator must be 5x5"):
+                norm_estimate(table, generator=random_complex(rng, shape))
+        with pytest.raises(DimensionError):
+            norm_estimate(table, generator=c[0])
+        assert norm_estimate(table, generator=c.tolist()).upper == norm_estimate(table, generator=c).upper
 
     def test_ascent_stops_within_its_step_cap(self, rng, monkeypatch):
         alg = NestAlgebra.triangular(6)
@@ -576,7 +642,7 @@ class TestNormEstimate:
         monkeypatch.undo()
         # at most one candidate per step length per step
         assert 0 < len(images) <= derivation._ASCENT_STEPS * len(derivation._ASCENT_TRIALS)
-        assert est.lower > oracle_best_sample(table, samples=32, seed=0)[0]
+        assert est.lower > oracle_largest_unit(table)[0]
 
     def test_lower_below_upper(self, rng):
         for alg in (NestAlgebra.triangular(3), NestAlgebra.triangular(5), NestAlgebra(8, (2, 5, 8)), NestAlgebra(8, (4, 8))):

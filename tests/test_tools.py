@@ -80,3 +80,15 @@ def test_compare_lists_every_differing_key_path_up_to_the_cap(tmp_path, capsys):
         "many.json: and 3 more",
         "2 of the files differ",
     ]
+
+
+def test_compare_of_a_missing_directory_names_it_and_exits_2(tmp_path, capsys):
+    a, missing, afile = tmp_path / "a", tmp_path / "missing", tmp_path / "f.json"
+    a.mkdir()
+    afile.write_text("{}")
+    for pair in ((a, missing), (missing, a), (a, afile)):
+        capsys.readouterr()
+        assert cli_fileset.main(["--compare", *map(str, pair)]) == 2
+        out, err = capsys.readouterr()
+        bad = pair[1] if pair[0] == a else pair[0]
+        assert out == "" and err == f"not a directory: {bad}\n"

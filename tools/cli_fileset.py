@@ -14,7 +14,8 @@ The package is imported from the ``src`` directory next to ``tools``, so a
 copy of this file placed in another checkout writes that checkout's set.
 
 The second form compares two such directories file by file and exits 1
-unless they hold the same names with byte-identical contents.  For each
+unless they hold the same names with byte-identical contents, or 2, with one
+line naming the path, when either is not a directory.  For each
 differing JSON file it prints one line per differing key path with both
 values, as in ``chain-c.json: family[0].b.data[3][0]: 0.12 != 0.22``, the
 first LISTED of them in sorted key order and then ``and N more``.  Every report
@@ -135,6 +136,10 @@ def main(argv=None) -> int:
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
     args = parser.parse_args(argv)
     if args.compare:
+        for path in args.compare:
+            if not path.is_dir():
+                print(f"not a directory: {path}", file=sys.stderr)
+                return 2
         differ = compare(*args.compare)
         for name in differ:
             print(describe(*args.compare, name))
