@@ -93,6 +93,17 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: a non-negative integer, as np.random.default_rng requires."""
+    try:
+        seed = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _load_table(path: str) -> DerivationTable:
     try:
         return DerivationTable.from_json(_read_json(path))
@@ -247,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="write a seeded random inner derivation table")
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--chain", help="comma-separated invariant dimensions, default 1..n")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_seed, default=0)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_generate)
 

@@ -184,48 +184,52 @@ def build_c1(table: DerivationTable, choices: ConstructionChoices) -> np.ndarray
     return -p @ evaluate(table, p) @ pperp
 
 
-def build_c2(table: DerivationTable, choices: ConstructionChoices, basis=None) -> np.ndarray:
-    """The corner correction, summed over an orthonormal basis of p-perp.
+def _corner(table: DerivationTable, choices: ConstructionChoices) -> tuple:
+    """(d, b1, c2, rows, s) from one rank_one_images call over the corner's rank-one elements.
 
-    For each basis vector xi_a of p-perp, with q_a = xi_a (x) eta1 and
-    q1 = xi0 (x) eta1, the row block of c2 at xi_a is
-    -q_a* delta(q_a) p-perp + q_a* delta(q1) q1* q_a
-    = xi_a (x) (-eta1^H delta(q_a) p-perp + s xi_a^H), s = eta1^H delta(q1) xi0.
-    delta(q_a) for every a and delta(q1) come from one rank_one_images call.
-    The result is independent of the basis (that is the linearity lemma,
-    tested separately).  A basis given is checked first: n - d vectors, exactly
-    zero on the first d coordinates, with ||B B^H - I|| <= 1e-12, else ValueError.
+    b1 has delta(e_i xi0^H) xi0 in column i < d.  With q_a = eta1 e_a^H for e_a
+    over the standard basis of p-perp and q1 = eta1 xi0^H, rows[a - d] is
+    eta1^H delta(q_a), s = eta1^H delta(q1) xi0, and the row block of c2 at e_a
+    is -q_a* delta(q_a) p-perp + q_a* delta(q1) q1* q_a
+    = e_a (x) (-rows[a - d] p-perp + s e_a^H).
     """
     d = choices.validate(table.alg)
     n = table.alg.n
     xi0 = _as_vector(choices.xi0)
     eta1 = _as_vector(choices.eta1)
-    if basis is None:
-        basis = np.eye(n)[d:]
-    else:
-        basis = np.array([_as_vector(xi) for xi in basis])
-        if (
-            basis.shape != (n - d, n)
-            or np.any(basis[:, :d] != 0)
-            or op_norm(basis @ basis.conj().T - np.eye(n - d)) > 1e-12
-        ):
-            raise ValueError(f"basis must be an orthonormal basis of p-perp: {n - d} vectors, first {d} entries zero")
+    eye = np.eye(n)
+    basis = eye[d:]
 
-    images = rank_one_images(table, np.tile(eta1, (len(basis) + 1, 1)), np.vstack([basis, xi0]))
-    s = eta1.conj() @ images[-1] @ xi0
-    rows = -(eta1.conj() @ images[:-1])
-    rows[:, :d] = 0.0
-    rows += s * basis.conj()
+    etas = np.vstack([eye[:d], np.tile(eta1, (n - d + 1, 1))])
+    xis = np.vstack([np.tile(xi0, (d, 1)), basis, xi0])
+    images = rank_one_images(table, etas, xis)
+    b1 = np.zeros((n, n), dtype=complex)
+    b1[:, :d] = (images[:d] @ xi0).T
+    rows = eta1.conj() @ images[d:n]
+    s = eta1.conj() @ images[n] @ xi0
+
+    c2_rows = -rows
+    c2_rows[:, :d] = 0.0
+    c2_rows += s * basis
     # added onto zeros, so an entry the product leaves at -0.0 is 0.0, as in a sum of per-vector blocks
-    return np.zeros((n, n), dtype=complex) + basis.T @ rows
+    c2 = np.zeros((n, n), dtype=complex) + basis.T @ c2_rows
+    return d, b1, c2, rows, s
+
+
+def build_c2(table: DerivationTable, choices: ConstructionChoices) -> np.ndarray:
+    """The corner correction, summed over the standard basis of p-perp (see _corner).
+
+    The sum is independent of the orthonormal basis of p-perp it runs over
+    (the linearity lemma); the tests check that against the per-vector oracle.
+    """
+    return _corner(table, choices)[2]
 
 
 def build_b(table: DerivationTable, choices: ConstructionChoices) -> ConstructionArtifacts:
-    """Full pipeline: b = b1 + c1 + c2."""
-    b1 = build_b1(table, choices)
+    """Full pipeline: b = b1 + c1 + c2, b1 and c2 from one _corner."""
+    _, b1, c2, _, _ = _corner(table, choices)
     c1 = build_c1(table, choices)
     b2 = b1 + c1
-    c2 = build_c2(table, choices)
     return ConstructionArtifacts(b1=b1, c1=c1, b2=b2, c2=c2, b=b2 + c2, choices=choices)
 
 
@@ -241,33 +245,22 @@ def triple_rule_residual(table: DerivationTable, choices: ConstructionChoices) -
     For q = xi_a (x) eta with xi_a ranging over the basis of p-perp and eta
     over the basis of p, checks
     delta(q) = delta(q q_a* q1) q1* q_a + q q_a* delta(q_a) - q q_a* delta(q1) q1* q_a.
-    With q = E_ia, q q_a* q1 = e_i xi0^H, so the right side is col_i (the b1
-    column delta(e_i xi0^H) xi0) in column a, plus row_a = eta1^H delta(q_a)
-    in row i, minus s = eta1^H delta(q1) xi0 at (i, a).  It is written onto
-    zeros in that order, and the maximum is taken by _max_op_norm.  The
-    images come from one rank_one_images call; every argument lies in the
-    algebra, and if not, the construction itself is broken and an error
-    propagates.
+    With q = E_ia, q q_a* q1 = e_i xi0^H, so the right side is column i of b1
+    (delta(e_i xi0^H) xi0) in column a, plus rows[a - d] = eta1^H delta(q_a)
+    in row i, minus s = eta1^H delta(q1) xi0 at (i, a), all from _corner.  It
+    is written onto zeros in that order, and the maximum is taken by
+    _max_op_norm.  Every argument of delta lies in the algebra, and if not,
+    the construction itself is broken and an error propagates.
     """
     alg = table.alg
-    d = choices.validate(alg)
     n = alg.n
-    xi0 = _as_vector(choices.xi0)
-    eta1 = _as_vector(choices.eta1)
-    eye = np.eye(n)
-
-    etas = np.vstack([eye[:d], np.tile(eta1, (n - d + 1, 1))])
-    xis = np.vstack([np.tile(xi0, (d, 1)), eye[d:], xi0])
-    images = rank_one_images(table, etas, xis)
-    cols = images[:d] @ xi0
-    rows = eta1.conj() @ images[d:n]
-    s = eta1.conj() @ images[n] @ xi0
+    d, b1, _, rows, s = _corner(table, choices)
 
     # pairs (a, i), a over p-perp outermost
     pa, pi = np.repeat(np.arange(d, n), d), np.tile(np.arange(d), n - d)
     pairs = np.arange(len(pa))
     rhs = np.zeros((len(pa), n, n), dtype=complex)
-    rhs[pairs, :, pa] = cols[pi]
+    rhs[pairs, :, pa] = b1[:, pi].T
     rhs[pairs, pi, :] += rows[pa - d]
     rhs[pairs, pi, pa] -= s
     units = table.stacked()[alg.unit_rows()[pi, pa]]

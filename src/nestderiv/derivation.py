@@ -16,6 +16,7 @@ import numpy as np
 from .algebra import NestAlgebra
 from .linalg import (
     DimensionError,
+    _EXACT_POWER,
     _as_matrix,
     _json_number,
     _max_op_norm,
@@ -535,9 +536,18 @@ def distance_to_scalars(c):
     4 SVDs.  Where the minimum is a kink (a normal c), or the iteration
     otherwise fails to certify within _NEWTON_SVDS SVDs, the central-cut
     ellipsoid method (_ellipsoid_min) answers instead, with its own
-    certificate, at about 110 SVDs (about 220 at a kink).
+    certificate, at about 110 SVDs (about 220 at a kink).  A c with a finite
+    entry past 1 / _EXACT_POWER = 2^400, where the squares in the
+    certificates could overflow, is divided by the power of two that brings
+    its entries under that bound, and lam and the distance are scaled back;
+    every other c is taken as it is.
     """
     c = _as_matrix(c)
+    top = float(np.abs(c).max(initial=0.0))
+    if 1 / _EXACT_POWER < top < math.inf:
+        scale = math.ldexp(_EXACT_POWER, math.frexp(top)[1])
+        lam, dist = distance_to_scalars(c / scale)
+        return lam * scale, dist * scale
     eye = np.eye(c.shape[0])
     lam = _newton_min(c, eye)
     if lam is None:

@@ -23,7 +23,7 @@ from nestderiv.derivation import DerivationTable, evaluate, inner_from, norm_est
 from nestderiv.linalg import op_norm, scalar_identity_part
 
 from conftest import basis_vec, random_complex, unit
-from oracles import oracle_b1, oracle_c1, oracle_c2, oracle_triple_rule
+from oracles import oracle_b1, oracle_build_c2, oracle_c1, oracle_c2, oracle_triple_rule
 
 SWEEP_SEEDS = range(100)
 SWEEP_DIMS = range(2, 13)
@@ -245,7 +245,7 @@ def test_criterion_8_c2_basis_independence():
                 xi = np.zeros(n, dtype=complex)
                 xi[d:] = u[:, col]
                 basis.append(xi)
-            rotated = build_c2(table, choices, basis=basis)
+            rotated = oracle_build_c2(table, choices, basis=basis)
             if op_norm(rotated - reference) > 1e-8 * (1 + op_norm(c)):
                 ok = False
     assert report_line(8, "c2 agrees under 10 random rotations of the p-perp basis", ok)

@@ -36,6 +36,15 @@ def test_tol_and_zero_are_not_options_of_generate(tmp_path, flag):
     assert not out.exists()
 
 
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "table.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--n", "3", "--seed", "-1", "--out", str(out)])
+    assert exc.value.code == EXIT_CONFIG
+    assert "argument --seed: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("target", ["missing_directory", "existing_directory"])
 def test_io_error_names_the_out_path(tmp_path, capsys, target):
     table_path = tmp_path / "table.json"

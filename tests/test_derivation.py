@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -695,6 +696,15 @@ class TestDistanceToScalars:
         assert dist <= best + 1e-12 * max(1.0, best)
         assert dist >= best - 1e-9 * max(1.0, best)
         assert op_norm(c - lam * np.eye(n)) == dist
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_entries_whose_squares_overflow_are_scaled_by_a_power_of_two(self, rng, n):
+        c = random_complex(rng, (n, n))
+        _, dist = distance_to_scalars(c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, big = distance_to_scalars(2.0**664 * c)
+        assert abs(big - 2.0**664 * dist) <= 1e-12 * 2.0**664 * max(1.0, dist)
 
 
 class TestStampfliCertificate:
