@@ -16,8 +16,8 @@ import numpy as np
 from .algebra import NestAlgebra
 from .linalg import (
     DimensionError,
-    _EXACT_POWER,
     _as_matrix,
+    _exact_scale,
     _json_number,
     _max_op_norm,
     matrix_from_json,
@@ -285,7 +285,9 @@ def validate(table: DerivationTable) -> ValidationReport:
     that fails is among them, so failing_pairs, max_residual and worst_pair
     are those of a norm taken for every pair, to the bit.  No norm is taken of
     a Gram matrix, which would square the residual and turn an exact zero into
-    rounding noise of order sqrt(eps).
+    rounding noise of order sqrt(eps).  The closed form squares the values, so
+    every residual is taken of the values divided by linalg._exact_scale's
+    power of two and multiplied back, and scales with the table.
 
     failing_pairs is in row-major pair order, units in basis order.
     """
@@ -298,8 +300,13 @@ def validate(table: DerivationTable) -> ValidationReport:
     rows = np.arange(len(units))
     coords = np.arange(n)
 
+    power = np.abs(values)
+    scale = _exact_scale(power)
+    if scale != 1.0:
+        values = values / scale
+        power = np.abs(values)
+    power *= power
     # off_row[u, k]: column k of delta(u) without row u.i; off_col[v, j]: row j of delta(v) without column v.j
-    power = np.abs(values) ** 2
     off_row = np.sqrt(power.sum(axis=1, where=(coords != ui[:, None])[:, :, None]))
     off_col = np.sqrt(power.sum(axis=2, where=(coords != uj[:, None])[:, None, :]))
     del power
@@ -318,7 +325,9 @@ def validate(table: DerivationTable) -> ValidationReport:
         lhs[batch, ui[u], :] += values[v, ui[v], :]
         lhs -= values[w]
         # a pair left unnormed gets 0.0: its residual is below both the tolerance and the chunk's maximum
-        residual[u, v] = _max_op_norm(lhs, scaled_tol)[2]
+        residual[u, v] = _max_op_norm(lhs, scaled_tol / scale)[2]
+    if scale != 1.0:
+        residual *= scale
 
     worst = np.unravel_index(np.argmax(residual), residual.shape)
     failing = [
@@ -536,16 +545,14 @@ def distance_to_scalars(c):
     4 SVDs.  Where the minimum is a kink (a normal c), or the iteration
     otherwise fails to certify within _NEWTON_SVDS SVDs, the central-cut
     ellipsoid method (_ellipsoid_min) answers instead, with its own
-    certificate, at about 110 SVDs (about 220 at a kink).  A c with a finite
-    entry past 1 / _EXACT_POWER = 2^400, where the squares in the
-    certificates could overflow, is divided by the power of two that brings
-    its entries under that bound, and lam and the distance are scaled back;
-    every other c is taken as it is.
+    certificate, at about 110 SVDs (about 220 at a kink).  A c that
+    linalg._exact_scale divides by a power of two s, so that the squares in
+    the certificates neither overflow nor underflow, gets lam and the
+    distance multiplied back, and a gap of 1e-12 * max(s, distance).
     """
     c = _as_matrix(c)
-    top = float(np.abs(c).max(initial=0.0))
-    if 1 / _EXACT_POWER < top < math.inf:
-        scale = math.ldexp(_EXACT_POWER, math.frexp(top)[1])
+    scale = _exact_scale(np.abs(c))
+    if scale != 1.0:
         lam, dist = distance_to_scalars(c / scale)
         return lam * scale, dist * scale
     eye = np.eye(c.shape[0])
@@ -606,9 +613,10 @@ def norm_estimate(table: DerivationTable, generator=None) -> NormEstimate:
 
     lower: op_norm(delta(a)) at a unit-norm a of the algebra, returned as the
     witness.  The ascent starts from the basis unit E_u whose value has the
-    largest Frobenius norm (the first in basis order on a tie; the squares may
-    overflow to inf, as in _max_op_norm, and the first such unit is taken),
-    at op_norm(evaluate(table, E_u)), and a first-order ascent (_ascend) of at
+    largest Frobenius norm (the first in basis order on a tie; the squares
+    are taken of the moduli divided by the power of two linalg._exact_scale
+    gives, so they neither overflow nor underflow), at
+    op_norm(evaluate(table, E_u)), and a first-order ascent (_ascend) of at
     most _ASCENT_STEPS steps raises it.  Nothing is drawn at random, and lower
     is at least op_norm(delta(E_u)).
     upper (when the inner generator c is known): 2 * min over lam of
@@ -616,7 +624,8 @@ def norm_estimate(table: DerivationTable, generator=None) -> NormEstimate:
     of d_c on all of B(H), which is exactly that (Stampfli).  It is
     2 op_norm(c - lam I) at the lam found by distance_to_scalars, so, to
     rounding, it is never below the norm of d_c on B(H) and exceeds it by at
-    most the certified gap 2e-12 * max(1, dist(c, C I)).  The certificate is a
+    most the certified gap 2e-12 * max(s, dist(c, C I)), s the power of two
+    distance_to_scalars divides c by (1 for c in range).  The certificate is a
     dual lower bound, |(c - mu I) x| with mu = x^H c x for unit x, met by a
     Newton iteration in about 4 SVDs; a kink (a normal c) falls back to the
     ellipsoid method's own certificate.  A generator that is not n x n raises
@@ -625,11 +634,12 @@ def norm_estimate(table: DerivationTable, generator=None) -> NormEstimate:
     alg = table.alg
     if generator is not None:
         generator = _as_operator(alg, generator, "generator")
-    values = table.stacked()
-    with np.errstate(over="ignore"):
-        power = np.abs(values)
-        power *= power
-        start = int(np.argmax(power.sum(axis=(1, 2))))  # the first of equal maxima
+    power = np.abs(table.stacked())
+    scale = _exact_scale(power)
+    if scale != 1.0:
+        power /= scale
+    power *= power
+    start = int(np.argmax(power.sum(axis=(1, 2))))  # the first of equal maxima
     ui, uj = alg.unit_index()
     witness = np.zeros((alg.n, alg.n), dtype=complex)
     witness[ui[start], uj[start]] = 1.0

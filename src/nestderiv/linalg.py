@@ -66,6 +66,22 @@ def op_norm(a) -> float:
 _EXACT_POWER = 2.0**-400
 
 
+def _exact_scale(moduli) -> float:
+    """The power of two to divide an array by before a closed-form sum of its squares, from the array's moduli.
+
+    1.0 when the largest finite modulus is 0 or lies in [_EXACT_POWER,
+    1 / _EXACT_POWER]; otherwise the largest power of two at most it, which
+    brings it into [1, 2) (2^1024 is not a float).  Division by it, and
+    multiplication back, are exact in the normal range.
+    """
+    top = float(moduli.max(initial=0.0))
+    if not math.isfinite(top):
+        top = float(moduli.max(initial=0.0, where=np.isfinite(moduli)))
+    if top == 0 or _EXACT_POWER <= top <= 1 / _EXACT_POWER:
+        return 1.0
+    return math.ldexp(1.0, math.frexp(top)[1] - 1)
+
+
 def _max_op_norm(stack, threshold: float = math.inf) -> tuple:
     """(maximum, first argmax, norms) of the operator norms of a (count, n, n) stack.
 
@@ -84,7 +100,9 @@ def _max_op_norm(stack, threshold: float = math.inf) -> tuple:
     NaN, or floor or threshold lies below _EXACT_POWER, where squares of the
     entries that matter could underflow: then every entry that is not exactly
     zero is normed, as an unpruned norm would, and a NaN entry raises
-    np.linalg.LinAlgError as it does there.
+    np.linalg.LinAlgError as it does there.  The squares only prune, so such
+    a stack costs SVDs, never a wrong result, and is not scaled by
+    _exact_scale as closed-form sums are: that would add a reduction per call.
     """
     norms = np.zeros(len(stack))
     if not len(stack):

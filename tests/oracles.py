@@ -15,6 +15,7 @@ agree with it to the bit.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -315,16 +316,18 @@ def oracle_evaluate(table, a):
 def oracle_largest_unit(table):
     """(value, a): norm_estimate's start, the matrix unit whose table value has the largest Frobenius norm.
 
-    The squared Frobenius norms are taken one value at a time, squares that
-    overflow becoming inf, and scanned in basis order keeping strict gains, so
-    the first of equal maxima wins.  value is the norm of oracle_evaluate at
-    that unit.
+    The squared Frobenius norms are taken one value at a time and scanned in
+    basis order keeping strict gains, so the first of equal maxima wins.  When
+    the largest modulus m in the table is not 0 and lies outside
+    [2^-400, 2^400], the moduli are divided by 2^e, 2^e <= m < 2^(e + 1),
+    before they are squared.  value is the norm of oracle_evaluate at that unit.
     """
     alg = table.alg
+    top = max(float(np.abs(value).max()) for value in table.values.values())
+    scale = 2.0 ** (math.frexp(top)[1] - 1) if top and not 2.0**-400 <= top <= 2.0**400 else 1.0
     best, best_unit = -1.0, None
     for u, value in table.values.items():
-        with np.errstate(over="ignore"):
-            square = float((np.abs(value) ** 2).sum())
+        square = float(((np.abs(value) / scale) ** 2).sum())
         if square > best:
             best, best_unit = square, u
     a = np.zeros((alg.n, alg.n), dtype=complex)

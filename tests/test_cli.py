@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -442,3 +443,77 @@ def test_deeply_nested_json_is_config_error(tmp_path, capsys, flag):
     err = capsys.readouterr().err
     assert err.startswith("config error: bad ") and err.endswith(f"{deep}: JSON nested too deeply to parse\n")
     assert err.count("\n") == 1
+
+
+# what a fuzzed value or key of an input file becomes; DELETE removes it
+DELETE = object()
+MUTANTS = (True, "x", None, 1e200, 1e308, 10**400, [[1.0, [2.0]]], DELETE)
+
+
+def _locations(doc, path=()):
+    """The key path of every value inside the JSON document doc, containers before their contents."""
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield (*path, key)
+        yield from _locations(value, (*path, key))
+
+
+def _mutated(doc, path, mutant, rename):
+    """A copy of doc with the value at path replaced by mutant or deleted; with rename, its key becomes mutant's JSON text."""
+    doc = json.loads(json.dumps(doc))
+    *parents, key = path
+    holder = doc
+    for step in parents:
+        holder = holder[step]
+    if mutant is DELETE:
+        del holder[key]
+    elif rename and isinstance(holder, dict):
+        holder[json.dumps(mutant)] = holder.pop(key)
+    else:
+        holder[key] = mutant
+    return doc
+
+
+def test_fuzzed_input_files_give_an_exit_code_and_no_warning(tmp_path, capsys):
+    """A table, generator or b with one value or key mutated: construct, verify and chain each end in an exit code.
+
+    No exception escapes cli.main and no numpy RuntimeWarning is raised.  The
+    first two mutations put 1e200 into a table entry, whose square overflows
+    unless validate scales the values first, and 1e308 into the (0, 0) entry
+    of delta(E_00), which the pair (E_00, E_00) adds to itself.
+    """
+    table, b, out = tmp_path / "table.json", tmp_path / "b.json", tmp_path / "out.json"
+    assert main(["generate", "--n", "4", "--chain", "2,4", "--seed", "11", "--out", str(table)]) == EXIT_OK
+    generator = tmp_path / "table.json.generator.json"
+    assert main(["construct", "--input", str(table), "--generator", str(generator), "--out", str(out)]) == EXIT_OK
+    b.write_text(json.dumps(read(out)["artifacts"]["b"]))
+    files = {path: read(path) for path in (table, generator, b)}
+    locations = [(path, where) for path, doc in files.items() for where in _locations(doc)]
+    rng = np.random.default_rng(2)
+    cases = [
+        (table, ("entries", 3, "value", "data", 5, 0), 1e200, False),
+        (table, ("entries", 0, "value", "data", 0, 0), 1e308, False),
+    ]
+    for _ in range(98):
+        path, where = locations[rng.integers(len(locations))]
+        cases.append((path, where, MUTANTS[rng.integers(len(MUTANTS))], rng.random() < 0.2))
+    runs = [
+        ["construct", "--input", str(table), "--generator", str(generator), "--gate-thm13"],
+        ["verify", "--input", str(table), "--b", str(b), "--generator", str(generator)],
+        ["chain", "--input", str(table), "--generator", str(generator)],
+    ]
+    codes = []
+    for path, where, mutant, rename in cases:
+        for original, doc in files.items():
+            original.write_text(json.dumps(_mutated(doc, where, mutant, rename) if original == path else doc))
+        for argv in runs:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main([*argv, "--out", str(out)])
+            assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_CONFIG, EXIT_IO), (path.name, where, mutant, argv[0])
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (path.name, where, mutant, argv[0])
+            codes.append(code)
+    capsys.readouterr()
+    # the first two mutations corrupt the table, so every command rejects it
+    assert codes[:6] == [EXIT_VALIDATION] * 6
+    assert {EXIT_OK, EXIT_VALIDATION, EXIT_CONFIG} <= set(codes)

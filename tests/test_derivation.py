@@ -609,10 +609,13 @@ class TestNormEstimate:
             assert est.witness.tobytes() == unit(6, first.i, first.j).tobytes(), name
             assert est.lower == op_norm(evaluate(table, est.witness)) == oracle_largest_unit(table)[0], name
 
-    def test_overflowing_squares_give_a_finite_exact_lower(self, rng):
-        """Values near 1e200 square to inf: the first unit whose squares overflow starts the ascent, and lower stays exact."""
+    def test_overflowing_squares_give_a_finite_exact_lower(self, rng, monkeypatch):
+        """Values near 1e200 would square to inf: scaled by a power of two, the largest unit starts, and lower stays exact."""
         alg = NestAlgebra.triangular(5)
-        table = inner_from(alg, 1e200 * random_complex(rng, (5, 5)))
+        c = random_complex(rng, (5, 5))
+        c[4] *= 4.0
+        c[:, 4] *= 4.0
+        table = inner_from(alg, 2.0**664 * c)
         with np.errstate(over="ignore"):
             assert np.isinf((np.abs(table.stacked()) ** 2).sum(axis=(1, 2))).all()
         est = norm_estimate(table)
@@ -620,7 +623,10 @@ class TestNormEstimate:
         assert math.isfinite(est.lower) and est.lower > 1e200
         assert est.lower == lower and est.witness.tobytes() == witness.tobytes()
         assert est.lower == op_norm(evaluate(table, est.witness))
-        assert est.lower >= op_norm(evaluate(table, unit(5, 0, 0)))
+        # with the ascent off the witness is the start: E_44, as at scale 1, not E_00, the first unit whose squares overflow
+        monkeypatch.setattr(derivation, "_ASCENT_STEPS", 0)
+        start = norm_estimate(table).witness
+        assert start.tobytes() == norm_estimate(inner_from(alg, c)).witness.tobytes() == unit(5, 4, 4).tobytes()
 
     def test_generator_must_be_n_by_n(self, rng):
         alg = NestAlgebra.triangular(5)
@@ -705,6 +711,44 @@ class TestDistanceToScalars:
             warnings.simplefilter("error")
             _, big = distance_to_scalars(2.0**664 * c)
         assert abs(big - 2.0**664 * dist) <= 1e-12 * 2.0**664 * max(1.0, dist)
+
+
+@given(
+    algebras(max_n=6),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=-600, max_value=600),
+)
+@example(NestAlgebra.triangular(4), 0, 600)
+@example(NestAlgebra.triangular(4), 0, -600)
+@settings(max_examples=30, deadline=None)
+def test_results_scale_with_a_power_of_two(alg, seed, k):
+    """2^k T against T, T an inner table with one unit corrupted by 1e-3 and c its generator."""
+    rng = np.random.default_rng(seed)
+    n, units = alg.n, alg.basis_units()
+    c = random_complex(rng, (n, n))
+    table = inner_from(alg, c)
+    u, m = units[rng.integers(len(units))], random_complex(rng, (n, n))
+    table.values[u] = table.values[u] + 1e-3 * m / op_norm(m)
+    s = 2.0**k
+    scaled = DerivationTable(alg, dict(zip(units, s * table.stacked())))
+
+    report, big = validate(table), validate(scaled)
+    assert big.max_residual == pytest.approx(s * report.max_residual, rel=1e-12)
+    if k >= 0:
+        # for k < 0 the 1 of value_scale = 1 + the largest norm dominates, so the tolerance does not scale
+        assert scaled.value_scale - 1 == pytest.approx(s * (table.value_scale - 1), rel=1e-12)
+        assert [pair[:2] for pair in big.failing_pairs] == [pair[:2] for pair in report.failing_pairs]
+
+    d, dk = distance_to_scalars(c)[1], distance_to_scalars(s * c)[1]
+    if k >= 0 or k <= -420:
+        # relative to max(1, d), the scale of c's own certified gap
+        assert abs(dk - s * d) <= 1e-11 * s * max(1.0, d)
+    else:
+        # 2^k c is not scaled up, so each distance is within its own gap, 1e-12 * max(1, distance), of the minimum
+        assert abs(dk - s * d) <= 1e-12 * max(1.0, dk) + 1e-12 * s * max(1.0, d)
+
+    est = norm_estimate(scaled)
+    assert op_norm(evaluate(scaled, est.witness)) == est.lower
 
 
 class TestStampfliCertificate:

@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "cli_fileset.py"
 spec = importlib.util.spec_from_file_location("cli_fileset", TOOL)
 cli_fileset = importlib.util.module_from_spec(spec)
@@ -13,8 +15,14 @@ def test_cli_fileset_writes_and_compares_the_smoke_set(tmp_path, capsys):
     for out in (a, b):
         assert cli_fileset.main([str(out), "--size", "smoke"]) == 0
     names = sorted(p.name for p in a.iterdir())
-    # two tables with their generators, eight construct/chain reports, the picked construct, b and two verify reports
-    assert len(names) == 16 and {"t.json", "c.json", "b.json", "construct-t-pick.json", "verify-t-gen.json"} <= set(names)
+    # two tables with their generators, eight construct/chain reports, the picked construct, b and two verify reports,
+    # and T_4 times 2^600 with its generator and its construct and chain reports
+    assert len(names) == 20 and {"t.json", "c.json", "b.json", "construct-t-pick.json", "verify-t-gen.json"} <= set(names)
+    assert {"t-big.json", "t-big.json.generator.json", "construct-t-big.json", "chain-t-big.json"} <= set(names)
+    big, small = (json.loads((a / name).read_text()) for name in ("construct-t-big.json", "construct-t-gen.json"))
+    assert all(big["pass"].values())
+    for key in ("b", "delta_lower", "delta_upper"):
+        assert big["norms"][key] == pytest.approx(cli_fileset.BIG * small["norms"][key], rel=1e-9)
     assert cli_fileset.compare(a, b) == []
     assert cli_fileset.main(["--compare", str(a), str(b)]) == 0
 

@@ -7,9 +7,12 @@ The first form runs, in-process through ``nestderiv.cli.main``:
 ``generate`` on T_16 (seed 5) and on chain (3, 7, 12) (seed 9);
 ``construct`` and ``chain`` on both tables, with and without
 ``--generator``; ``construct --k 8 --xi0-index 10 --eta1-index 2`` on T_16;
-and ``verify --b`` on T_16, with and without ``--generator``, where b is the
-operator of the T_16 ``construct --generator`` report.  Every command must
-exit 0.  ``--size smoke`` runs the same commands on T_4 and chain (1, 3, 4).
+``verify --b`` on T_16, with and without ``--generator``, where b is the
+operator of the T_16 ``construct --generator`` report; and ``construct
+--generator --gate-thm13`` and ``chain --generator`` on the T_16 table and
+its generator multiplied by 2^600 (``t-big.json``), whose squares would
+overflow unless they are scaled.  Every command must exit 0.  ``--size
+smoke`` runs the same commands on T_4 and chain (1, 3, 4).
 The package is imported from the ``src`` directory next to ``tools``, so a
 copy of this file placed in another checkout writes that checkout's set.
 
@@ -32,6 +35,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # differing key paths printed per file before "and N more"
 LISTED = 10
+
+# the factor of every entry of t-big.json and its generator
+BIG = 2.0**600
 
 # (T_n, its seed, chain table n, its chain, its seed, construct --k/--xi0-index/--eta1-index on T_n)
 SIZES = {
@@ -62,7 +68,29 @@ def commands(size: str) -> list:
     runs.append(
         ["verify", "--input", "t.json", "--b", "b.json", "--generator", "t.json.generator.json", "--out", "verify-t-gen.json"]
     )
+    big = ["--input", "t-big.json", "--generator", "t-big.json.generator.json"]
+    runs.append(["construct", *big, "--gate-thm13", "--out", "construct-t-big.json"])
+    runs.append(["chain", *big, "--out", "chain-t-big.json"])
     return [[str(arg) for arg in run] for run in runs]
+
+
+def _scaled(matrix: dict) -> dict:
+    """A matrix_to_json object with every entry multiplied by BIG."""
+    return {**matrix, "data": [[BIG * re, BIG * im] for re, im in matrix["data"]]}
+
+
+def _write_inputs(outdir: Path, argv: list):
+    """Write the input files of argv that no command writes: b.json, and t-big.json with its generator."""
+    if "b.json" in argv and not (outdir / "b.json").exists():
+        report = json.loads((outdir / "construct-t-gen.json").read_text())
+        (outdir / "b.json").write_text(json.dumps(report["artifacts"]["b"]))
+    if "t-big.json" in argv and not (outdir / "t-big.json").exists():
+        table = json.loads((outdir / "t.json").read_text())
+        for entry in table["entries"]:
+            entry["value"] = _scaled(entry["value"])
+        (outdir / "t-big.json").write_text(json.dumps(table))
+        generator = json.loads((outdir / "t.json.generator.json").read_text())
+        (outdir / "t-big.json.generator.json").write_text(json.dumps(_scaled(generator)))
 
 
 def write(outdir: Path, size: str) -> int:
@@ -72,9 +100,7 @@ def write(outdir: Path, size: str) -> int:
 
     outdir.mkdir(parents=True, exist_ok=True)
     for argv in commands(size):
-        if argv[0] == "verify" and not (outdir / "b.json").exists():
-            report = json.loads((outdir / "construct-t-gen.json").read_text())
-            (outdir / "b.json").write_text(json.dumps(report["artifacts"]["b"]))
+        _write_inputs(outdir, argv)
         argv = [str(outdir / arg) if arg.endswith(".json") else arg for arg in argv]
         code = cli.main(argv)
         if code != 0:
