@@ -37,8 +37,7 @@ class ConstructionChoices:
         if self.k not in alg.interior_levels:
             raise ValueError(f"k={self.k} is not an interior chain index for {alg.chain}")
         d = alg.chain[self.k - 1]
-        xi0 = _as_vector(self.xi0)
-        eta1 = _as_vector(self.eta1)
+        xi0, eta1 = _as_vector(self.xi0), _as_vector(self.eta1)
         if xi0.size != alg.n or eta1.size != alg.n:
             raise ValueError("choice vectors must have the algebra dimension")
         if abs(np.linalg.norm(xi0) - 1.0) > 1e-12 or abs(np.linalg.norm(eta1) - 1.0) > 1e-12:
@@ -176,12 +175,24 @@ def _b1_family(table: DerivationTable, levels: list) -> list:
 
 
 def build_c1(table: DerivationTable, choices: ConstructionChoices) -> np.ndarray:
-    """c1 = -p delta(p) p-perp; kills p and matches -delta(p) on p-perp."""
-    alg = table.alg
-    choices.validate(alg)
-    p = alg.lattice_projection(choices.k)
-    pperp = np.eye(alg.n) - p
-    return -p @ evaluate(table, p) @ pperp
+    """c1 = -p delta(p) p-perp, read row by row from the diagonal units of p.
+
+    For i < d, E_ii = E_ii^2 gives delta(E_ii) p-perp = E_ii delta(E_ii) p-perp,
+    so p delta(p) p-perp is the sum of E_ii delta(E_ii) p-perp over i < d: row
+    i of c1 is minus row i of delta(E_ii) in the columns of p-perp, and every
+    other entry is zero.  This holds for any derivation into B(H), and each
+    row comes from one table value, so no defect that the values share is
+    added up.
+    """
+    return _c1(table, choices.validate(table.alg))
+
+
+def _c1(table: DerivationTable, d: int) -> np.ndarray:
+    """build_c1 for p of rank d, unchecked; the rows are subtracted from zeros, so no entry is -0.0."""
+    i = np.arange(d)
+    c1 = np.zeros((table.alg.n, table.alg.n), dtype=complex)
+    c1[:d, d:] -= table.stacked()[table.alg.unit_rows()[i, i], i, d:]
+    return c1
 
 
 def _corner(table: DerivationTable, choices: ConstructionChoices) -> tuple:
@@ -195,8 +206,7 @@ def _corner(table: DerivationTable, choices: ConstructionChoices) -> tuple:
     """
     d = choices.validate(table.alg)
     n = table.alg.n
-    xi0 = _as_vector(choices.xi0)
-    eta1 = _as_vector(choices.eta1)
+    xi0, eta1 = _as_vector(choices.xi0), _as_vector(choices.eta1)
     eye = np.eye(n)
     basis = eye[d:]
 
@@ -226,9 +236,12 @@ def build_c2(table: DerivationTable, choices: ConstructionChoices) -> np.ndarray
 
 
 def build_b(table: DerivationTable, choices: ConstructionChoices) -> ConstructionArtifacts:
-    """Full pipeline: b = b1 + c1 + c2, b1 and c2 from one _corner."""
-    _, b1, c2, _, _ = _corner(table, choices)
-    c1 = build_c1(table, choices)
+    """Full pipeline: b = b1 + c1 + c2, b1 and c2 from one _corner and c1 from the diagonal units' rows.
+
+    The choices are checked once, by _corner.
+    """
+    d, b1, c2, _, _ = _corner(table, choices)
+    c1 = _c1(table, d)
     b2 = b1 + c1
     return ConstructionArtifacts(b1=b1, c1=c1, b2=b2, c2=c2, b=b2 + c2, choices=choices)
 
@@ -252,10 +265,14 @@ def triple_rule_residual(table: DerivationTable, choices: ConstructionChoices) -
     _max_op_norm.  Every argument of delta lies in the algebra, and if not,
     the construction itself is broken and an error propagates.
     """
+    d, b1, _, rows, s = _corner(table, choices)
+    return _rule(table, d, b1, rows, s)
+
+
+def _rule(table: DerivationTable, d: int, b1: np.ndarray, rows: np.ndarray, s) -> RuleResidual:
+    """triple_rule_residual from the d, b1, rows and s of one _corner."""
     alg = table.alg
     n = alg.n
-    d, b1, _, rows, s = _corner(table, choices)
-
     # pairs (a, i), a over p-perp outermost
     pa, pi = np.repeat(np.arange(d, n), d), np.tile(np.arange(d), n - d)
     pairs = np.arange(len(pa))
@@ -288,17 +305,17 @@ def verify(
     Each residual is a maximum from _max_op_norm, which takes SVDs only of the
     units that can reach it, and worst_units names the first unit in basis
     order that reaches it; for rule_max, the first in triple_rule_residual's
-    pair order.  A generator that is not n x n raises DimensionError.
+    pair order.  A generator that is not n x n raises DimensionError.  The
+    choices are checked once, by the one _corner that gives the triple rule.
     """
     alg = table.alg
-    choices = artifacts.choices
-    d = choices.validate(alg)
+    d, b1, _, rows, s = _corner(table, artifacts.choices)
     if generator is not None:
         generator = _as_operator(alg, generator, "generator")
     if tol is None:
         tol = table.tol * table.value_scale
 
-    rule = triple_rule_residual(table, choices)
+    rule = _rule(table, d, b1, rows, s)
     ui, uj = alg.unit_index()
     psp, corner = np.flatnonzero((ui < d) & (uj < d)), np.flatnonzero((ui >= d) & (uj >= d))
 

@@ -154,12 +154,14 @@ class DerivationTable:
 
     @property
     def value_scale(self) -> float:
-        """1 + max operator norm over the table values, the residual scale.
+        """The largest operator norm over the table values, the residual scale.
 
-        The maximum comes from _max_op_norm, which norms only the values whose
-        Frobenius norm can reach it, and is the one over all values, to the bit.
+        Every tolerance is table.tol times this, so it scales with the table
+        at any size, and a zero table gets tolerance 0.  The maximum comes from
+        _max_op_norm, which norms only the values whose Frobenius norm can
+        reach it, and is the one over all values, to the bit.
         """
-        return 1.0 + _max_op_norm(self.stacked())[0]
+        return _max_op_norm(self.stacked())[0]
 
     def to_json(self) -> dict:
         entries = [

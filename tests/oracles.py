@@ -98,12 +98,12 @@ def oracle_validate(table):
     Returns (residuals, failing): residuals maps every (u, v) to the operator
     norm of delta(u) v + u delta(v) - [j == k] delta(E_il), in loop order over
     units in basis order; failing lists the (u, v, residual) triples above
-    table.tol * (1 + max operator norm of a table value), in the same order.
+    table.tol times the largest operator norm of a table value, in the same order.
     """
     alg = table.alg
     n = alg.n
     units = alg.basis_units()
-    scale = 1.0 + max(np.linalg.norm(v, 2) for v in table.values.values())
+    scale = max(np.linalg.norm(v, 2) for v in table.values.values())
 
     def e(r, s):
         m = np.zeros((n, n), dtype=complex)
@@ -515,6 +515,16 @@ def oracle_build_b1(table, choices):
     return b1
 
 
+def oracle_row_c1(table, d):
+    """c1 one entry at a time: entry (i, a), i < d <= a, is 0.0 minus entry (i, a) of delta(E_ii)."""
+    n = table.alg.n
+    c1 = np.zeros((n, n), dtype=complex)
+    for i in range(d):
+        for a in range(d, n):
+            c1[i, a] = 0.0 - table.values[(i, i)][i, a]
+    return c1
+
+
 def oracle_build_c2(table, choices, basis=None):
     """build_c2 one basis vector xi of p-perp at a time, through evaluate and products of rank-one maps.
 
@@ -562,5 +572,5 @@ def oracle_pairwise_scalars(alg, ks, bs):
 
 
 def oracle_value_scale(table):
-    """1 + the largest operator norm over every table value, one SVD per value."""
-    return 1.0 + max(float(np.linalg.norm(v, 2)) for v in table.values.values())
+    """The largest operator norm over every table value, one SVD per value."""
+    return max(float(np.linalg.norm(v, 2)) for v in table.values.values())

@@ -8,7 +8,7 @@ import pytest
 from nestderiv import cli
 from nestderiv.algebra import NestAlgebra
 from nestderiv.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, MAX_TABLE_BYTES, main
-from nestderiv.derivation import DerivationTable, validate
+from nestderiv.derivation import DerivationTable, inner_from, validate
 from nestderiv.linalg import matrix_from_json, matrix_to_json
 
 
@@ -154,6 +154,47 @@ def test_construct_rejects_corrupted_table(tmp_path, capsys):
     assert f"over {len(report.failing_pairs)} pairs" in message
     for u, v, _ in report.failing_pairs[:3]:
         assert f"{u} x {v} (" in message
+
+
+def write_table(tmp_path, table, c, scale=1.0):
+    """Write table and its generator c, each times scale; the paths of the table file and the generator file."""
+    alg = table.alg
+    scaled = DerivationTable(alg, dict(zip(alg.basis_units(), scale * table.stacked())))
+    table_path, generator_path = tmp_path / "table.json", tmp_path / "generator.json"
+    table_path.write_text(json.dumps(scaled.to_json()))
+    generator_path.write_text(json.dumps(matrix_to_json(scale * c)))
+    return table_path, generator_path
+
+
+@pytest.mark.parametrize("k", [-600, 0, 600])
+def test_a_defect_is_gated_relative_to_the_table_at_any_scale(tmp_path, k):
+    # the tolerance is tol times the largest value norm, so 2^-600 times a rejected table is rejected too
+    rng = np.random.default_rng(3)
+    c = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    table = inner_from(NestAlgebra.triangular(6), c)
+    value = table.values[(0, 1)].copy()
+    value[0, 0] += 1e-3 * np.abs(c).max()
+    table.values[(0, 1)] = value
+    table_path, generator_path = write_table(tmp_path, table, c, 2.0**k)
+    argv = ["construct", "--input", str(table_path), "--generator", str(generator_path), "--gate-thm13"]
+    assert main([*argv, "--out", str(tmp_path / "r.json")]) == EXIT_VALIDATION
+
+
+def test_a_defect_shared_by_the_diagonal_units_passes_the_gates(tmp_path):
+    # half validate's tolerance on every delta(E_ii), i < 8 = d at the default k of T_16: c1 reads each row from
+    # one value, so b's defect stays near the table's; summed over delta(p) it was about 1.9 times the tolerance
+    alg = NestAlgebra.triangular(16)
+    rng = np.random.default_rng(0)
+    c = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    table = inner_from(alg, c)
+    m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    m *= 0.5 * validate(table).tol / np.linalg.norm(m, 2)
+    for i in range(8):
+        table.values[(i, i)] = table.values[(i, i)] + m
+    table_path, generator_path = write_table(tmp_path, table, c)
+    argv = ["construct", "--input", str(table_path), "--generator", str(generator_path), "--gate-thm13"]
+    assert main([*argv, "--out", str(tmp_path / "r.json")]) == EXIT_OK
+    assert read(tmp_path / "r.json")["pass"] == {"thm11": True, "thm12": True, "thm13": True}
 
 
 def test_reports_are_byte_identical(tmp_path):

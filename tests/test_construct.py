@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nestderiv import construct
@@ -22,6 +22,7 @@ from nestderiv.derivation import (
     distance_to_scalars,
     inner_from,
     norm_estimate,
+    unit_defects,
     validate,
 )
 from nestderiv.linalg import DimensionError, op_norm, scalar_identity_part
@@ -47,6 +48,7 @@ from oracles import (
     oracle_c2,
     oracle_evaluate,
     oracle_norm_estimate,
+    oracle_row_c1,
     oracle_rule_max,
     oracle_verify_residuals,
 )
@@ -266,28 +268,87 @@ class TestBuildB:
             verify(table, ConstructionArtifacts(art.b1, art.c1, art.b2, art.c2, art.b, bad))
 
     def test_one_rank_one_images_call_per_entry_point(self, rng, monkeypatch):
-        # b1, c2 and the triple rule read their images from one _corner; build_b checks the choices twice
+        # b1, c2 and the triple rule read their images from one _corner, which checks the choices; c1 reads table rows
         alg = NestAlgebra(7, (2, 5, 7))
         table = inner_from(alg, random_complex(rng, (7, 7)))
         choices = choices_for(alg, 2)
+        art = build_b(table, choices)
         calls = {}
         images, validate = construct.rank_one_images, ConstructionChoices.validate
 
         def count(name, fn):
-            def counted(*args):
+            def counted(*args, **kwargs):
                 calls[name] += 1
-                return fn(*args)
+                return fn(*args, **kwargs)
 
             return counted
 
         monkeypatch.setattr(construct, "rank_one_images", count("images", images))
+        monkeypatch.setattr(construct, "evaluate", count("evaluate", construct.evaluate))
         monkeypatch.setattr(ConstructionChoices, "validate", count("validate", validate))
-        for entry in (build_b, build_c2, triple_rule_residual):
-            calls.update(images=0, validate=0)
-            entry(table, choices)
-            assert calls["images"] == 1, entry.__name__
-            if entry is build_b:
-                assert calls["validate"] <= 2
+        entries = {
+            build_b: (table, choices),
+            build_c1: (table, choices),
+            build_c2: (table, choices),
+            triple_rule_residual: (table, choices),
+            verify: (table, art),
+        }
+        for entry, args in entries.items():
+            calls.update(images=0, validate=0, evaluate=0)
+            entry(*args)
+            images_calls = 0 if entry is build_c1 else 1
+            assert calls == {"images": images_calls, "validate": 1, "evaluate": 0}, entry.__name__
+
+
+@st.composite
+def levels(draw):
+    """(alg, k): T_n or a random chain with an interior level, n = 2..12, and one of its interior levels."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    if draw(st.booleans()):
+        alg = NestAlgebra.triangular(n)
+    else:
+        interior = draw(st.sets(st.integers(min_value=1, max_value=n - 1), min_size=1))
+        alg = NestAlgebra(n, (*sorted(interior), n))
+    return alg, draw(st.sampled_from(alg.interior_levels))
+
+
+class TestDefectBound:
+    """b's largest unit defect against validate's largest pair residual, on inner tables with noise."""
+
+    @given(
+        levels(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["aligned", "gaussian", "unit"]),
+        st.floats(min_value=-10.0, max_value=-7.0),
+    )
+    # one defect shared by the diagonal units of p: b's defect was 3.9 times the largest pair residual when c1
+    # summed the d values of delta(p)
+    @example((NestAlgebra.triangular(16), 8), 0, "aligned", -9.0)
+    @settings(max_examples=100, deadline=None)
+    def test_residual_full_is_at_most_twice_the_largest_pair_residual(self, level, seed, noise, exponent):
+        alg, k = level
+        n, d = alg.n, alg.chain[k - 1]
+        rng = np.random.default_rng(seed)
+        table = inner_from(alg, random_complex(rng, (n, n)))
+        size = 10.0**exponent * table.value_scale
+
+        def defect():
+            m = random_complex(rng, (n, n))
+            return size * m / op_norm(m)
+
+        units = alg.basis_units()
+        if noise == "aligned":
+            m = defect()
+            hit = [(i, i) for i in range(d)]
+        elif noise == "gaussian":
+            hit = units
+        else:
+            hit = [units[rng.integers(len(units))]]
+        for u in hit:
+            table.values[u] = table.values[u] + (m if noise == "aligned" else defect())
+        b = build_b(table, default_choices(alg, k)).b
+        residual_full = np.linalg.norm(unit_defects(table, b), 2, axis=(1, 2)).max()
+        assert residual_full <= 2.0 * validate(table).max_residual
 
 
 class TestDefaultChoices:
@@ -390,7 +451,7 @@ class TestRankOneConstruction:
     @given(construction_tables(), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_one_hot_choices_have_the_bits_of_the_loops(self, table_and_c, seed):
-        table, _ = table_and_c
+        table, c = table_and_c
         alg = table.alg
         n = alg.n
         rng = np.random.default_rng(seed)
@@ -401,13 +462,18 @@ class TestRankOneConstruction:
             )
             p = alg.lattice_projection(k)
             b1 = oracle_build_b1(table, choices)
-            c1 = -p @ oracle_evaluate(table, p) @ (np.eye(n) - p)
+            c1 = oracle_row_c1(table, d)
             c2 = oracle_build_c2(table, choices)
             art = build_b(table, choices)
             assert art.b1.tobytes() == b1.tobytes()
             assert art.c1.tobytes() == c1.tobytes()
             assert art.c2.tobytes() == c2.tobytes()
             assert art.b.tobytes() == ((b1 + c1) + c2).tobytes()
+            if c is not None:
+                # the rows of c1 are those of -p delta(p) p-perp for a derivation; a mutated unit need not obey
+                # delta(E_ii) = delta(E_ii) E_ii + E_ii delta(E_ii), on which the identity rests
+                scale = 1.0 + op_norm(c)
+                assert op_norm(art.c1 - (-p @ oracle_evaluate(table, p) @ (np.eye(n) - p))) <= 1e-12 * scale
             rule = oracle_rule_max(table, choices)
             assert triple_rule_residual(table, choices).max_residual == rule
             report = verify(table, art)
@@ -506,6 +572,15 @@ class TestVerify:
         assert report.residual_full == 0.0
         assert report.gauge[0] == 0 and report.gauge[1] == 0
         assert report.thm11_ok and report.thm12_ok and report.thm13_ok
+
+    def test_zero_table_validates_and_verifies_with_tol_0(self):
+        # the tolerance is relative to the table's largest value, so a zero table gets 0 and its residuals are 0.0
+        alg = NestAlgebra(5, (2, 5))
+        table = zero_table(alg)
+        check = validate(table)
+        assert table.value_scale == 0.0 and check.ok and check.tol == 0.0 and check.max_residual == 0.0
+        report = verify(table, build_b(table, choices_for(alg, 1)))
+        assert report.tol == 0.0 and report.thm11_ok and report.thm12_ok and report.thm13_ok
 
     def test_n2_gauge_examples(self):
         alg = NestAlgebra.triangular(2)

@@ -158,7 +158,7 @@ class TestDerivationTable:
         values[units[8]] = 1.0005 * unit(4, 0, 0)
         values[units[9]] = np.zeros((4, 4))
         table = DerivationTable(alg, values)
-        assert table.value_scale == 1.0 + 1.0005
+        assert table.value_scale == 1.0005
         # all nine values of nonzero norm can reach the largest row norm, 1.0005; the zero values are not normed
         assert svd_batches == [9]
         assert table.value_scale == oracle_value_scale(table)
@@ -167,7 +167,7 @@ class TestDerivationTable:
         # squares of entries near 1e200 are inf, so no row, column or Frobenius norm prunes: every value is normed
         table = inner_from(NestAlgebra.triangular(5), 1e200 * random_complex(rng, (5, 5)))
         exact = max(np.linalg.norm(v, 2) for v in table.values.values())
-        assert table.value_scale == oracle_value_scale(table) == 1.0 + exact and exact > 1e199
+        assert table.value_scale == oracle_value_scale(table) == exact > 1e199
 
     def test_values_stored_in_basis_order(self, rng):
         alg = NestAlgebra(5, (2, 3, 5))
@@ -734,10 +734,9 @@ def test_results_scale_with_a_power_of_two(alg, seed, k):
 
     report, big = validate(table), validate(scaled)
     assert big.max_residual == pytest.approx(s * report.max_residual, rel=1e-12)
-    if k >= 0:
-        # for k < 0 the 1 of value_scale = 1 + the largest norm dominates, so the tolerance does not scale
-        assert scaled.value_scale - 1 == pytest.approx(s * (table.value_scale - 1), rel=1e-12)
-        assert [pair[:2] for pair in big.failing_pairs] == [pair[:2] for pair in report.failing_pairs]
+    # the tolerance scales with the table at every k, so the same pairs fail
+    assert scaled.value_scale == pytest.approx(s * table.value_scale, rel=1e-12)
+    assert [pair[:2] for pair in big.failing_pairs] == [pair[:2] for pair in report.failing_pairs]
 
     d, dk = distance_to_scalars(c)[1], distance_to_scalars(s * c)[1]
     if k >= 0 or k <= -420:

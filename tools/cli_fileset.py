@@ -11,8 +11,11 @@ The first form runs, in-process through ``nestderiv.cli.main``:
 operator of the T_16 ``construct --generator`` report; and ``construct
 --generator --gate-thm13`` and ``chain --generator`` on the T_16 table and
 its generator multiplied by 2^600 (``t-big.json``), whose squares would
-overflow unless they are scaled.  Every command must exit 0.  ``--size
-smoke`` runs the same commands on T_4 and chain (1, 3, 4).
+overflow unless they are scaled; and ``construct --generator --gate-thm13``
+on ``t-diag.json``, the T_n table with one defect of half its ``validate``
+tolerance added to every delta(E_ii), i < d, for p of rank d at the default
+k, which a c1 summed over delta(p) would add up d times.  Every command must
+exit 0.  ``--size smoke`` runs the same commands on T_4 and chain (1, 3, 4).
 The package is imported from the ``src`` directory next to ``tools``, so a
 copy of this file placed in another checkout writes that checkout's set.
 
@@ -30,6 +33,8 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -71,6 +76,8 @@ def commands(size: str) -> list:
     big = ["--input", "t-big.json", "--generator", "t-big.json.generator.json"]
     runs.append(["construct", *big, "--gate-thm13", "--out", "construct-t-big.json"])
     runs.append(["chain", *big, "--out", "chain-t-big.json"])
+    diag = ["--input", "t-diag.json", "--generator", "t.json.generator.json"]
+    runs.append(["construct", *diag, "--gate-thm13", "--out", "construct-t-diag.json"])
     return [[str(arg) for arg in run] for run in runs]
 
 
@@ -79,8 +86,26 @@ def _scaled(matrix: dict) -> dict:
     return {**matrix, "data": [[BIG * re, BIG * im] for re, im in matrix["data"]]}
 
 
+def _diagonal_defect(table_json: dict) -> dict:
+    """t-diag.json from t.json, the table with delta(E_ii) + m for every i < d, d the rank of p at the default k.
+
+    m is a matrix from default_rng(0) of operator norm half the tolerance validate reports for t.json.
+    """
+    from nestderiv.construct import default_choices
+    from nestderiv.derivation import DerivationTable, validate
+
+    table = DerivationTable.from_json(table_json)
+    alg = table.alg
+    rng = np.random.default_rng(0)
+    m = rng.standard_normal((alg.n, alg.n)) + 1j * rng.standard_normal((alg.n, alg.n))
+    m *= 0.5 * validate(table).tol / np.linalg.norm(m, 2)
+    for i in range(alg.chain[default_choices(alg).k - 1]):
+        table.values[(i, i)] = table.values[(i, i)] + m
+    return table.to_json()
+
+
 def _write_inputs(outdir: Path, argv: list):
-    """Write the input files of argv that no command writes: b.json, and t-big.json with its generator."""
+    """Write the input files of argv that no command writes: b.json, t-big.json with its generator, and t-diag.json."""
     if "b.json" in argv and not (outdir / "b.json").exists():
         report = json.loads((outdir / "construct-t-gen.json").read_text())
         (outdir / "b.json").write_text(json.dumps(report["artifacts"]["b"]))
@@ -91,6 +116,8 @@ def _write_inputs(outdir: Path, argv: list):
         (outdir / "t-big.json").write_text(json.dumps(table))
         generator = json.loads((outdir / "t.json.generator.json").read_text())
         (outdir / "t-big.json.generator.json").write_text(json.dumps(_scaled(generator)))
+    if "t-diag.json" in argv and not (outdir / "t-diag.json").exists():
+        (outdir / "t-diag.json").write_text(json.dumps(_diagonal_defect(json.loads((outdir / "t.json").read_text()))))
 
 
 def write(outdir: Path, size: str) -> int:
