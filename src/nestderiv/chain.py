@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import NestAlgebra
-from .construct import ConstructionChoices, _b1_family, default_choices
+from .construct import ConstructionChoices, default_choices
 from .derivation import DerivationTable, unit_defects
 from .linalg import _max_op_norm, matrix_to_json
 
@@ -63,13 +63,22 @@ def _pairwise_scalars(alg: NestAlgebra, members: list) -> dict:
 
 
 def chain_family(table: DerivationTable) -> ChainFamily:
-    """b_a for every interior chain level plus pairwise consistency scalars."""
+    """b_a for every interior chain level plus pairwise consistency scalars.
+
+    Each b_a is build_b1 at the level's default choices, xi0 = e_d for p of
+    rank d, read from the table's columns: column i < d of b_a is
+    delta(E_id) e_d, column d of the single value delta(E_id).  The columns
+    are added onto zeros, so no entry is -0.0, as in build_b1.
+    """
     alg = table.alg
     if not alg.interior_levels:
         raise ValueError("irreducible model: construction inapplicable (chain has no interior projection)")
-    choices = [default_choices(alg, k) for k in alg.interior_levels]
-    family = _b1_family(table, [(alg.chain[c.k - 1], c.xi0) for c in choices])
-    members = [ChainMember(k=c.k, b=b, choices=c) for c, b in zip(choices, family)]
+    members = []
+    for k in alg.interior_levels:
+        d = alg.chain[k - 1]
+        b = np.zeros((alg.n, alg.n), dtype=complex)
+        b[:, :d] += table.stacked()[alg.unit_rows()[np.arange(d), d], :, d].T
+        members.append(ChainMember(k=k, b=b, choices=default_choices(alg, k)))
     return ChainFamily(alg=alg, members=members, lambdas=_pairwise_scalars(alg, members))
 
 

@@ -6,7 +6,10 @@ Subcommands:
   verify     verify a supplied operator b against a table without rebuilding
   chain      per-level chain family, normalization, and stabilized operator
 
-Exit codes: 0 success, 1 validation failure, 2 config error, 3 I/O error.
+Exit codes: 0 success, 1 validation failure (a table that fails the product
+rule, a failed theorem gate, or a chain whose worst normalized pair residual
+or stabilized implements_residual is above the tolerance), 2 config error,
+3 I/O error.
 All output is deterministic JSON, byte-identical for equal input files and
 flags.  generate refuses, as a config error, a table whose values would take
 more than MAX_TABLE_BYTES in memory (256 MiB: T_64 takes 136 MB, T_80 332 MB).
@@ -184,6 +187,14 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _exit_code(what: str, failures: list) -> int:
+    """EXIT_OK for no failures, else EXIT_VALIDATION after one stderr line that joins them."""
+    if failures:
+        print(f"{what} failed: {'; '.join(failures)}", file=sys.stderr)
+        return EXIT_VALIDATION
+    return EXIT_OK
+
+
 def _verify_and_write(args, table: DerivationTable, tol: float, artifacts: ConstructionArtifacts, extra: dict) -> int:
     """Verify artifacts at tol, write the report plus extra to --out, and gate the exit code on the theorems."""
     generator = None
@@ -193,11 +204,7 @@ def _verify_and_write(args, table: DerivationTable, tol: float, artifacts: Const
     _write_json(args.out, {**verification.to_json(), **extra})
     print(f"wrote {args.out}")
     gated = ("thm11", "thm12", "thm13") if args.gate_thm13 else ("thm11", "thm12")
-    failures = [failure for failure in map(verification.failure, gated) if failure]
-    if failures:
-        print(f"verification failed: {'; '.join(failures)}", file=sys.stderr)
-        return EXIT_VALIDATION
-    return EXIT_OK
+    return _exit_code("verification", [failure for failure in map(verification.failure, gated) if failure])
 
 
 def cmd_construct(args) -> int:
@@ -224,7 +231,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    table, _ = _load_validated(args)
+    table, tol = _load_validated(args)
     try:
         family = chain_family(table)
     except ValueError as exc:
@@ -233,11 +240,12 @@ def cmd_chain(args) -> int:
     normalized = normalize_chain(family)
     b_top = stabilized_b(normalized)
     top_k = max(m.k for m in normalized.members)
+    implements_residual = implements_on_projection(table, b_top, top_k)
     out = normalized.to_json()
     out["stabilized"] = {
         "k": top_k,
         "b": matrix_to_json(b_top),
-        "implements_residual": implements_on_projection(table, b_top, top_k),
+        "implements_residual": implements_residual,
         "norm": op_norm(b_top),
     }
     if len(normalized.members) == 1:
@@ -248,7 +256,15 @@ def cmd_chain(args) -> int:
         out["stabilized"]["gauge_on_p"] = {"lambda": [lam.real, lam.imag], "residual": residual}
     _write_json(args.out, out)
     print(f"wrote {args.out}")
-    return EXIT_OK
+    # the report is written before the gate, as construct's is
+    failures = []
+    if normalized.lambdas:
+        pair, (_, pair_residual) = max(normalized.lambdas.items(), key=lambda item: item[1][1])
+        if pair_residual > tol:
+            failures.append(f"pair residual {pair_residual:.3e} > tol {tol:.3e} at pair {pair}")
+    if implements_residual > tol:
+        failures.append(f"implements_residual {implements_residual:.3e} > tol {tol:.3e} at level k={top_k}")
+    return _exit_code("chain", failures)
 
 
 def build_parser() -> argparse.ArgumentParser:

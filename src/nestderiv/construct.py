@@ -143,35 +143,14 @@ def default_choices(alg: NestAlgebra, k: int | None = None) -> ConstructionChoic
 
 
 def build_b1(table: DerivationTable, choices: ConstructionChoices) -> np.ndarray:
-    """Column-by-column assembly of the p-side implementer.
+    """Column-by-column assembly of the p-side implementer (see _corner).
 
     For each basis vector eta of p, the rank-one a = xi0 (x) eta = eta xi0^H
     lies in the algebra, carries xi0 to eta, and equals a p0 for
     p0 = xi0 (x) xi0; the column of b1 at eta is delta(a) xi0.  Columns in
     p-perp are zero.
     """
-    d = choices.validate(table.alg)
-    return _b1_family(table, [(d, _as_vector(choices.xi0))])[0]
-
-
-def _b1_family(table: DerivationTable, levels: list) -> list:
-    """build_b1 for each (d, xi0) in levels, xi0 a unit vector in p-perp for p of rank d, unchecked.
-
-    The images delta(e_i xi0^H) of every level come from one rank_one_images
-    call; b1 has delta(e_i xi0^H) xi0 in column i < d.
-    """
-    n = table.alg.n
-    eye = np.eye(n)
-    etas = np.vstack([eye[:d] for d, _ in levels])
-    xis = np.vstack([np.tile(xi0, (d, 1)) for d, xi0 in levels])
-    images = rank_one_images(table, etas, xis)
-    family, start = [], 0
-    for d, xi0 in levels:
-        b1 = np.zeros((n, n), dtype=complex)
-        b1[:, :d] = (images[start : start + d] @ xi0).T
-        family.append(b1)
-        start += d
-    return family
+    return _corner(table, choices)[1]
 
 
 def build_c1(table: DerivationTable, choices: ConstructionChoices) -> np.ndarray:

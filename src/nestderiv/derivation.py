@@ -344,7 +344,7 @@ def validate(table: DerivationTable) -> ValidationReport:
     )
 
 
-def _combine(coeffs: np.ndarray, values, n: int) -> np.ndarray:
+def _combine(coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
     """sum over u of coeffs[:, u] * values[u]: one n x n sum per row of coeffs.
 
     The terms are added onto zeros one unit at a time, in the order of values,
@@ -353,7 +353,7 @@ def _combine(coeffs: np.ndarray, values, n: int) -> np.ndarray:
     signed zero, which leaves a sum begun at +0.0 as it is, so every row gets
     the same bits as that row's sum taken alone.
     """
-    out = np.zeros((len(coeffs), n, n), dtype=complex)
+    out = np.zeros((len(coeffs), *values.shape[1:]), dtype=complex)
     if not len(coeffs):
         return out
     nonzero = coeffs != 0
@@ -404,7 +404,7 @@ def evaluate(table: DerivationTable, a) -> np.ndarray:
     if np.any(a[~alg.pattern_mask()]) and not alg.contains(a, tol=table.tol * max(1.0, op_norm(a))):
         raise EvaluationDomainError("derivation undefined outside S")
     ui, uj = alg.unit_index()
-    return _combine(a[None, ui, uj], table.stacked(), alg.n)[0]
+    return _combine(a[None, ui, uj], table.stacked())[0]
 
 
 def rank_one_images(table: DerivationTable, etas, xis) -> np.ndarray:
@@ -430,7 +430,7 @@ def rank_one_images(table: DerivationTable, etas, xis) -> np.ndarray:
         if np.any(below.max(axis=1) > bound):
             raise EvaluationDomainError("derivation undefined outside S")
     ui, uj = alg.unit_index()
-    return _combine(outer[:, ui, uj], table.stacked(), alg.n)
+    return _combine(outer[:, ui, uj], table.stacked())
 
 
 def _dual_bound(a, x) -> float:
@@ -617,10 +617,10 @@ def norm_estimate(table: DerivationTable, generator=None) -> NormEstimate:
     witness.  The ascent starts from the basis unit E_u whose value has the
     largest Frobenius norm (the first in basis order on a tie; the squares
     are taken of the moduli divided by the power of two linalg._exact_scale
-    gives, so they neither overflow nor underflow), at
-    op_norm(evaluate(table, E_u)), and a first-order ascent (_ascend) of at
-    most _ASCENT_STEPS steps raises it.  Nothing is drawn at random, and lower
-    is at least op_norm(delta(E_u)).
+    gives, so they neither overflow nor underflow), at op_norm(delta(E_u)),
+    with delta(E_u) the stored value added onto zeros, and a first-order
+    ascent (_ascend) of at most _ASCENT_STEPS steps raises it.  Nothing is
+    drawn at random, and lower is at least op_norm(delta(E_u)).
     upper (when the inner generator c is known): 2 * min over lam of
     op_norm(c - lam I), valid because the restricted norm is at most the norm
     of d_c on all of B(H), which is exactly that (Stampfli).  It is
@@ -645,8 +645,8 @@ def norm_estimate(table: DerivationTable, generator=None) -> NormEstimate:
     ui, uj = alg.unit_index()
     witness = np.zeros((alg.n, alg.n), dtype=complex)
     witness[ui[start], uj[start]] = 1.0
-    # evaluate's bits, not the stored value's: a -0.0 entry of the value is +0.0 in delta(E_u)
-    image = evaluate(table, witness)
+    # added onto zeros, as evaluate adds it, so a -0.0 entry of the value is +0.0 in delta(E_u)
+    image = np.zeros((alg.n, alg.n), dtype=complex) + table.stacked()[start]
     lower = op_norm(image)
     if lower > 0:
         lower, witness = _ascend(table, witness, image, lower)

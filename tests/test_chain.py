@@ -12,7 +12,8 @@ from nestderiv.chain import (
     normalize_chain,
     stabilized_b,
 )
-from nestderiv.construct import build_b1
+from nestderiv import construct, derivation
+from nestderiv.construct import ConstructionChoices, build_b1
 from nestderiv.derivation import DerivationTable, inner_from, norm_estimate
 from nestderiv.linalg import op_norm, scalar_identity_part
 
@@ -123,6 +124,23 @@ def test_member_norms_bounded_after_normalization(rng):
         assert op_norm(m.b) <= 2 * upper + 1e-8
 
 
+def test_members_are_read_from_the_table_without_the_kernel(rng, monkeypatch):
+    # each member's columns are read from table values: no rank_one_images or evaluate call, nor the kernel under both
+    alg = NestAlgebra(7, (2, 5, 7))
+    table = inner_from(alg, random_complex(rng, (7, 7)))
+    expected = [m.b.tobytes() for m in chain_family(table).members]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("chain_family called the general kernel")
+
+    for module in (construct, derivation):
+        monkeypatch.setattr(module, "rank_one_images", refuse)
+        monkeypatch.setattr(module, "evaluate", refuse)
+    monkeypatch.setattr(derivation, "_combine", refuse)
+    monkeypatch.setattr(ConstructionChoices, "validate", refuse)
+    assert [m.b.tobytes() for m in chain_family(table).members] == expected
+
+
 def test_family_json_schema(rng):
     alg = NestAlgebra.triangular(3)
     table = inner_from(alg, random_complex(rng, (3, 3)))
@@ -152,6 +170,7 @@ def test_family_has_the_bits_of_the_per_level_loops(n, data, seed, mutated):
     assert ks == alg.interior_levels
     expected = oracle_chain_members(table)
     assert [m.b.tobytes() for m in family.members] == [b.tobytes() for b in expected]
+    assert [m.b.tobytes() for m in family.members] == [build_b1(table, m.choices).tobytes() for m in family.members]
     assert family.lambdas == oracle_pairwise_scalars(alg, ks, expected)
     normalized = normalize_chain(family)
     assert normalized.lambdas == oracle_pairwise_scalars(alg, ks, [m.b for m in normalized.members])

@@ -7,9 +7,12 @@ import pytest
 
 from nestderiv import cli
 from nestderiv.algebra import NestAlgebra
+from nestderiv.chain import ChainFamily, ChainMember
 from nestderiv.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, MAX_TABLE_BYTES, main
 from nestderiv.derivation import DerivationTable, inner_from, validate
 from nestderiv.linalg import matrix_from_json, matrix_to_json
+
+from conftest import unit
 
 
 def read(path):
@@ -97,7 +100,7 @@ def test_generate_t16_unaffected_by_size_guard(tmp_path):
     assert len(DerivationTable.from_json(read(out)).values) == 16 * 17 // 2
 
 
-@pytest.mark.parametrize("command", ["construct", "verify"])
+@pytest.mark.parametrize("command", ["construct", "verify", "chain"])
 def test_value_scale_computed_once_per_call(tmp_path, monkeypatch, command):
     table_path = tmp_path / "table.json"
     report_path = tmp_path / "report.json"
@@ -315,6 +318,38 @@ def test_chain_command(tmp_path):
         for lam in entry["lambdas"]:
             assert abs(complex(*lam["value"])) < 1e-8 * 50  # normalized family
     assert obj["stabilized"]["implements_residual"] < 1e-8 * 50
+
+
+@pytest.mark.parametrize("shifted", [2, 3])
+def test_chain_gates_the_normalized_residuals(tmp_path, capsys, monkeypatch, shifted):
+    # 0.5 E_jj, j = k - 1, added to member k: zero on range(p_{k-1}) and a non-scalar on range(p_k); so at k = 2 pair
+    # (2, 3) fails and the top member still implements, and at the top k = 3 no pair fails and the level does
+    table_path, out = tmp_path / "table.json", tmp_path / "chain.json"
+    main(["generate", "--n", "4", "--seed", "9", "--out", str(table_path)])
+    normalize = cli.normalize_chain
+
+    def shift(family):
+        members = [
+            ChainMember(k=m.k, b=m.b + 0.5 * unit(4, m.k - 1, m.k - 1) if m.k == shifted else m.b, choices=m.choices)
+            for m in family.members
+        ]
+        return normalize(ChainFamily(alg=family.alg, members=members, lambdas=family.lambdas))
+
+    monkeypatch.setattr(cli, "normalize_chain", shift)
+    capsys.readouterr()
+    assert main(["chain", "--input", str(table_path), "--out", str(out)]) == EXIT_VALIDATION
+    report = read(out)
+    tol = validate(DerivationTable.from_json(read(table_path))).tol
+    if shifted == 2:
+        residual = next(lam["residual"] for lam in report["family"][1]["lambdas"] if lam["beta"] == 3)
+        assert residual == pytest.approx(0.25)
+        expected = f"pair residual {residual:.3e} > tol {tol:.3e} at pair (2, 3)"
+    else:
+        assert all(lam["residual"] <= tol for entry in report["family"] for lam in entry["lambdas"])
+        residual = report["stabilized"]["implements_residual"]
+        assert residual == pytest.approx(0.5)
+        expected = f"implements_residual {residual:.3e} > tol {tol:.3e} at level k=3"
+    assert capsys.readouterr().err == f"chain failed: {expected}\n"
 
 
 def test_chain_single_interior_note(tmp_path):

@@ -288,6 +288,7 @@ class TestBuildB:
         monkeypatch.setattr(ConstructionChoices, "validate", count("validate", validate))
         entries = {
             build_b: (table, choices),
+            build_b1: (table, choices),
             build_c1: (table, choices),
             build_c2: (table, choices),
             triple_rule_residual: (table, choices),

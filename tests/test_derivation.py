@@ -829,14 +829,14 @@ def test_image_has_the_bits_of_the_per_unit_sum(table, seed, chunk_units):
     finally:
         if chunk_units is not None:
             derivation._IMAGE_BYTES = saved
-    assert got.tobytes() == derivation._combine(a[None, ui, uj], values, alg.n)[0].tobytes()
+    assert got.tobytes() == derivation._combine(a[None, ui, uj], values)[0].tobytes()
 
 
 def test_image_sums_onto_positive_zeros():
     # -1 * (0 + 0j) has real part -0.0; added onto +0.0, as the per-unit sum does, it gives +0.0
     coeffs, values = np.array([-1.0 + 0j, -2.0 + 0j]), np.zeros((2, 1, 1), dtype=complex)
     got = derivation._image(coeffs, values)
-    assert got.tobytes() == derivation._combine(coeffs[None], values, 1)[0].tobytes()
+    assert got.tobytes() == derivation._combine(coeffs[None], values)[0].tobytes()
     assert math.copysign(1.0, got[0, 0].real) == 1.0
 
 

@@ -12,10 +12,11 @@ operator of the T_16 ``construct --generator`` report; and ``construct
 --generator --gate-thm13`` and ``chain --generator`` on the T_16 table and
 its generator multiplied by 2^600 (``t-big.json``), whose squares would
 overflow unless they are scaled; and ``construct --generator --gate-thm13``
-on ``t-diag.json``, the T_n table with one defect of half its ``validate``
-tolerance added to every delta(E_ii), i < d, for p of rank d at the default
-k, which a c1 summed over delta(p) would add up d times.  Every command must
-exit 0.  ``--size smoke`` runs the same commands on T_4 and chain (1, 3, 4).
+and ``chain --generator`` on ``t-diag.json``, the T_n table with one defect
+of half its ``validate`` tolerance added to every delta(E_ii), i < d, for p
+of rank d at the default k, which a c1 summed over delta(p) would add up d
+times, and which enters no chain member.  Every command must exit 0.
+``--size smoke`` runs the same commands on T_4 and chain (1, 3, 4).
 The package is imported from the ``src`` directory next to ``tools``, so a
 copy of this file placed in another checkout writes that checkout's set.
 
@@ -78,6 +79,7 @@ def commands(size: str) -> list:
     runs.append(["chain", *big, "--out", "chain-t-big.json"])
     diag = ["--input", "t-diag.json", "--generator", "t.json.generator.json"]
     runs.append(["construct", *diag, "--gate-thm13", "--out", "construct-t-diag.json"])
+    runs.append(["chain", *diag, "--out", "chain-t-diag.json"])
     return [[str(arg) for arg in run] for run in runs]
 
 
