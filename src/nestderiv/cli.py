@@ -11,15 +11,21 @@ rule, a failed theorem gate, or a chain whose worst normalized pair residual
 or stabilized implements_residual is above the tolerance), 2 config error,
 3 I/O error.
 All output is deterministic JSON, byte-identical for equal input files and
-flags.  generate refuses, as a config error, a table whose values would take
-more than MAX_TABLE_BYTES in memory (256 MiB: T_64 takes 136 MB, T_80 332 MB).
+flags: the text of json.dumps(obj, indent=2, sort_keys=True) and a newline,
+written by one streaming writer, in a file of mode 0o666 & ~umask.
+generate refuses, as a config error, a table whose values would take more
+than MAX_TABLE_BYTES in memory (256 MiB: T_64 takes 136 MB, T_80 332 MB).
 """
 
 import argparse
+import gc
+import itertools
 import json
+import math
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -53,20 +59,107 @@ class TableRejected(Exception):
     """The input table fails the product rule (exit code 1)."""
 
 
+# the indentation unit of every file written, as json.dumps(obj, indent=2) writes it
+_INDENT = "  "
+
+
+def _float_text(x: float) -> str:
+    """x as json.dumps writes it: float.__repr__ when finite, else json's NaN, Infinity or -Infinity."""
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+
+
+def _pairs_text(items, level: int) -> str | None:
+    """The text of the list items, at indent level, when it holds one or more [float, float] lists, else None.
+
+    That is the data of every matrix payload: its floats are formatted by one
+    map and placed by two joins, instead of one generator step each.
+    """
+    if not items or set(map(type, items)) != {list} or set(map(len, items)) != {2}:
+        return None
+    parts = list(itertools.chain.from_iterable(items))
+    if set(map(type, parts)) != {float}:
+        return None
+    texts = map(float.__repr__, parts) if all(map(math.isfinite, parts)) else map(_float_text, parts)
+    outer, inner = "\n" + _INDENT * (level + 1), "\n" + _INDENT * (level + 2)
+    within, between = "," + inner, outer + "]," + outer + "[" + inner
+    pair = iter(texts)
+    body = between.join(map(within.join, zip(pair, pair)))
+    return "[" + outer + "[" + inner + body + outer + "]\n" + _INDENT * level + "]"
+
+
+def _json_chunks(obj, level: int = 0):
+    """Yield the text of json.dumps(obj, indent=2, sort_keys=True) in pieces, byte for byte, for a JSON value.
+
+    A JSON value's keys are strings; any other key raises TypeError, as does
+    a value json.dumps cannot write.
+    """
+    if isinstance(obj, str):
+        yield encode_basestring_ascii(obj)
+    elif obj is None or obj is True or obj is False:
+        yield json.dumps(obj)
+    elif isinstance(obj, int):
+        yield int.__repr__(obj)
+    elif isinstance(obj, float):
+        yield _float_text(obj)
+    elif isinstance(obj, (list, tuple)):
+        pairs = _pairs_text(obj, level)
+        if pairs is not None:
+            yield pairs
+        elif not obj:
+            yield "[]"
+        else:
+            separator, opening = "\n" + _INDENT * (level + 1), "["
+            for item in obj:
+                yield opening + separator
+                opening = ","
+                yield from _json_chunks(item, level + 1)
+            yield "\n" + _INDENT * level + "]"
+    elif isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        separator, opening = "\n" + _INDENT * (level + 1), "{"
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            yield opening + separator + encode_basestring_ascii(key) + ": "
+            opening = ","
+            yield from _json_chunks(value, level + 1)
+        yield "\n" + _INDENT * level + "}"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _umask() -> int:
+    """The process umask, which can only be read by setting it."""
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def _write_json(path: str, obj: dict):
-    """Atomic write: temp file in the target directory, then rename; an OSError names path, not the temp file."""
-    payload = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Write obj as json.dumps(obj, indent=2, sort_keys=True) plus a newline, atomically, with open()'s file mode.
+
+    The text is streamed into a temp file in the target directory, which is
+    then renamed over path, so path never holds part of a file.  The file gets
+    mode 0o666 & ~umask, as a file open() creates, not mkstemp's 0o600.  On any
+    exception the temp file is removed; an OSError names path, not the temp file.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
-            handle.write(payload)
+            os.fchmod(fd, 0o666 & ~_umask())
+            handle.writelines(_json_chunks(obj))
+            handle.write("\n")
         os.replace(tmp, path)
-    except OSError as exc:
+    except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise OSError(exc.errno, exc.strerror, path) from exc
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
+        raise
 
 
 def _read_json(path: str) -> dict:
@@ -309,6 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a call's JSON values are trees of up to millions of lists that hold no cycles, and the cyclic collector would
+    # traverse them again and again while they are built; what cycles a call makes are collected after it returns
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except TableRejected as exc:
@@ -320,6 +417,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

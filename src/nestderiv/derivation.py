@@ -180,7 +180,9 @@ class DerivationTable:
 
         n, the chain entries, the unit indices, tol and every matrix dimension
         and entry part must be JSON numbers: a bool or a string is rejected,
-        not read as 1, 0 or the number it spells.
+        not read as 1, 0 or the number it spells.  Each value is read into
+        its row of the table's array, found through alg.unit_rows(), and
+        checked there once: a basis unit, not seen before, n x n and finite.
         """
         try:
             n, chain = obj["algebra"]["n"], obj["algebra"]["chain"]
@@ -189,18 +191,30 @@ class DerivationTable:
             # counted before any n x n array is built, so a small file that declares a large algebra fails at once
             if len(entries) != alg.unit_count:
                 raise ValueError(f"{len(entries)} entries, expected one for each of the {alg.unit_count} basis units")
-            values = {}
+            values, rows = TableValues(alg), alg.unit_rows()
+            seen = np.zeros(len(values), dtype=bool)
             for e in entries:
                 key = (int(_json_number(e["i"], "a unit index")), int(_json_number(e["j"], "a unit index")))
                 if key != (e["i"], e["j"]):
                     raise ValueError(f"non-integer unit index ({e['i']!r}, {e['j']!r})")
-                if key in values:
+                # every entry has a row, and there are as many entries as rows, so no unit is missing
+                row = int(rows[key]) if 0 <= key[0] < alg.n and 0 <= key[1] < alg.n else -1
+                if row < 0:
+                    raise ValueError(f"unit {key} is not a basis unit of chain {alg.chain}")
+                if seen[row]:
                     raise ValueError(f"duplicate entry for unit {key}")
-                values[key] = matrix_from_json(e["value"])
-            tol = float(_json_number(obj.get("tol", 1e-9), "tol"))
+                seen[row] = True
+                value = matrix_from_json(e["value"])
+                if value.shape != (alg.n, alg.n):
+                    raise DimensionError(f"value for {key} has shape {value.shape}, expected {(alg.n, alg.n)}")
+                values._array[row] = value
+            tol = check_tol(float(_json_number(obj.get("tol", 1e-9), "tol")))
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed table: {exc}") from exc
-        return cls(alg, values, tol=tol)
+        # the values are checked above, so the constructor's per-unit checks and copy are skipped
+        table = cls.__new__(cls)
+        table.alg, table.values, table.tol = alg, values, tol
+        return table
 
 
 @dataclass

@@ -145,8 +145,9 @@ def scalar_identity_part(a):
 
 def matrix_to_json(a) -> dict:
     """Row-major JSON encoding {"rows", "cols", "data": [[re, im], ...]}."""
-    a = _as_matrix(a)
-    data = [[float(z.real), float(z.imag)] for z in a.ravel()]
+    a = np.ascontiguousarray(_as_matrix(a))
+    # one tolist() of the interleaved parts gives the Python floats float(z.real), float(z.imag) give, -0.0 included
+    data = a.view(float).reshape(-1, 2).tolist()
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
 
 
@@ -163,20 +164,36 @@ def _json_number(x, what: str):
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Inverse of matrix_to_json; rejects dimensions that are not non-negative integers and entries not finite numbers."""
+    """Inverse of matrix_to_json; rejects dimensions that are not non-negative integers and entries not finite numbers.
+
+    data that is not a list of lists raises TypeError; a wrong count
+    DimensionError; a list that is not a pair, a part that is not a JSON
+    number (a bool or a string) or a non-finite part ValueError; an integer
+    part beyond the float range OverflowError.
+    """
     rows, cols = obj["rows"], obj["cols"]
     for d in (rows, cols):
         if not _is_number_type(type(d)) or not math.isfinite(d) or int(d) != d or d < 0:
             raise ValueError(f"matrix dimensions must be non-negative integers, got {rows!r} x {cols!r}")
     rows, cols = int(rows), int(cols)
     data = obj["data"]
+    if not isinstance(data, list):
+        raise TypeError(f"matrix data must be a list of [re, im] pairs, got {type(data).__name__}")
     if len(data) != rows * cols:
         raise DimensionError(f"expected {rows * cols} entries, got {len(data)}")
-    flat = np.array([complex(re, im) for re, im in data])
-    # complex() reads true and false as 1 and 0, so the parts' types are checked too, in one C-level pass
-    kinds = set(map(type, itertools.chain.from_iterable(data)))
+    # the pairs' types and lengths, then their parts' types, each in one C-level pass; np.fromiter would read
+    # true and false as 1 and 0
+    kinds = set(map(type, data))
+    if not kinds <= {list}:
+        raise TypeError(f"matrix entries must be pairs of numbers, got entries of type {sorted(k.__name__ for k in kinds)}")
+    lengths = set(map(len, data))
+    if not lengths <= {2}:
+        raise ValueError(f"matrix entries must be pairs of numbers, got lists of length {sorted(lengths)}")
+    parts = list(itertools.chain.from_iterable(data))
+    kinds = set(map(type, parts))
     if not all(map(_is_number_type, kinds)):
         raise ValueError(f"matrix entries must be pairs of numbers, got parts of type {sorted(k.__name__ for k in kinds)}")
-    if not np.all(np.isfinite(flat)):
+    flat = np.fromiter(parts, dtype=float, count=len(parts))
+    if not np.isfinite(flat).all():
         raise ValueError("non-finite matrix entry")
-    return flat.reshape(rows, cols)
+    return flat.view(complex).reshape(rows, cols)

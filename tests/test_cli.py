@@ -1,9 +1,14 @@
 import json
+import math
+import os
+import stat
 import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nestderiv import cli
 from nestderiv.algebra import NestAlgebra
@@ -62,6 +67,80 @@ def test_io_error_names_the_out_path(tmp_path, capsys, target):
     err = capsys.readouterr().err
     assert err.startswith("I/O error: ") and f"'{out}'" in err and ".tmp" not in err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_outputs_get_the_mode_open_gives_under_the_umask(tmp_path, umask, mode):
+    """Not the 0o600 of the temp file they are renamed from; and each holds json.dumps(indent=2, sort_keys=True)."""
+    table_path, report = tmp_path / "table.json", tmp_path / "report.json"
+    previous = os.umask(umask)
+    try:
+        assert main(["generate", "--n", "3", "--seed", "2", "--out", str(table_path)]) == EXIT_OK
+        assert main(["construct", "--input", str(table_path), "--out", str(report)]) == EXIT_OK
+    finally:
+        os.umask(previous)
+    for path in (table_path, tmp_path / "table.json.generator.json", report):
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+        assert path.read_text() == json.dumps(read(path), indent=2, sort_keys=True) + "\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "table.json", "table.json.generator.json"]
+
+
+@pytest.mark.parametrize("error, code", [(RuntimeError, None), (KeyboardInterrupt, None), (OSError, EXIT_IO)])
+def test_a_writer_that_fails_midway_leaves_no_temp_file(tmp_path, capsys, monkeypatch, error, code):
+    """Whatever the writer raises after part of the file reached the disk, the temp file goes; an OSError exits 3."""
+
+    def failing(obj):
+        yield "{" * 100_000
+        raise error("writer failed")
+
+    monkeypatch.setattr(cli, "_json_chunks", failing)
+    argv = ["generate", "--n", "3", "--out", str(tmp_path / "table.json")]
+    if code is None:
+        with pytest.raises(error, match="writer failed"):
+            main(argv)
+    else:
+        assert main(argv) == code
+        assert capsys.readouterr().err.startswith("I/O error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+# every float json.dumps writes differently from the rest: signed zeros, the extremes, NaN and the infinities
+SPECIAL_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, math.nan, math.inf, -math.inf)
+json_floats = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+json_ints = st.integers() | st.sampled_from((2**53 + 1, -(2**63), 2**64 + 1))
+# st.text() draws non-ASCII and control characters too
+json_scalars = st.none() | st.booleans() | json_ints | json_floats | st.text()
+
+
+@st.composite
+def matrix_payloads(draw):
+    """{"cols", "data", "rows"} as matrix_to_json writes it, 0 x 0 to 3 x 3, with any float parts."""
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    pair = st.lists(json_floats, min_size=2, max_size=2)
+    return {"cols": cols, "data": draw(st.lists(pair, min_size=rows * cols, max_size=rows * cols)), "rows": rows}
+
+
+# payload-shaped dicts whose data is not pairs of floats: int parts, ragged or empty pairs, scalars
+odd_payloads = st.fixed_dictionaries(
+    {"cols": json_scalars, "data": st.lists(st.lists(json_ints | json_floats, max_size=3) | json_scalars, max_size=4),
+     "rows": json_scalars}
+)
+json_trees = st.recursive(
+    json_scalars | matrix_payloads() | odd_payloads,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(json_trees)
+@example({"cols": 0, "data": [], "rows": 0})
+@example({"cols": 1, "data": [[-0.0, 5e-324]], "rows": 1})
+@example({"m": {"cols": 2, "data": [[math.nan, math.inf], [-math.inf, 1.7976931348623157e308]], "rows": 1}})
+@example({"cols": 1, "data": [[1, 2.0], [1.0]], "rows": 2})
+@example([[], {}, [[]], 2**64, True, None, "\u00e9\x00\n"])
+@settings(max_examples=300, deadline=None)
+def test_writer_is_byte_identical_to_json_dumps(obj):
+    assert "".join(cli._json_chunks(obj)) == json.dumps(obj, indent=2, sort_keys=True)
 
 
 def test_generate_invalid_chain_is_config_error(tmp_path):
@@ -403,6 +482,14 @@ BAD_GENERATORS = {
     "boolean_shape": json.dumps({"rows": True, "cols": 3, "data": [[1.0, 0.0]] * 3}),
     "boolean_entry": json.dumps({"rows": 3, "cols": 3, "data": [[True, False]] + [[1.0, 0.0]] * 8}),
     "string_entry": json.dumps({"rows": 3, "cols": 3, "data": [["1.0", 0.0]] + [[1.0, 0.0]] * 8}),
+    "short_pair": json.dumps({"rows": 3, "cols": 3, "data": [[1.0]] + [[1.0, 0.0]] * 8}),
+    "long_pair": json.dumps({"rows": 3, "cols": 3, "data": [[1.0, 0.0, 0.0]] + [[1.0, 0.0]] * 8}),
+    "number_pair": json.dumps({"rows": 3, "cols": 3, "data": [1.0] + [[1.0, 0.0]] * 8}),
+    "integer_part_beyond_float": json.dumps({"rows": 3, "cols": 3, "data": [[10**400, 0.0]] + [[1.0, 0.0]] * 8}),
+    # 1e400 is read as inf
+    "overflowing_part": '{"rows": 3, "cols": 3, "data": [[1e400, 0.0]' + ", [1.0, 0.0]" * 8 + "]}",
+    "dict_data": json.dumps({"rows": 3, "cols": 3, "data": {str(r): [1.0, 0.0] for r in range(9)}}),
+    "string_data": json.dumps({"rows": 3, "cols": 3, "data": "x" * 9}),
 }
 
 
@@ -424,6 +511,10 @@ def test_bad_generator_is_config_error(tmp_path, capsys, command, case):
     capsys.readouterr()
     assert main(args) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+# a part that the table test writes as the JSON number 1e400, which is read as inf
+OVERFLOWING = "1e400 as a number"
 
 
 def _non_pair(obj):
@@ -459,6 +550,12 @@ MALFORMED_TABLES = {
     "boolean_value_shape": lambda obj: obj["entries"][0]["value"].update(rows=True),
     "boolean_data_pair": lambda obj: obj["entries"][0]["value"]["data"].__setitem__(0, [True, False]),
     "string_data_part": lambda obj: obj["entries"][0]["value"]["data"].__setitem__(0, [1.0, "0"]),
+    "short_pair": lambda obj: obj["entries"][0]["value"]["data"].__setitem__(0, [1.0]),
+    "long_pair": lambda obj: obj["entries"][0]["value"]["data"].__setitem__(0, [1.0, 0.0, 0.0]),
+    "integer_part_beyond_float": lambda obj: obj["entries"][0]["value"]["data"].__setitem__(0, [10**400, 0.0]),
+    "overflowing_part": lambda obj: obj["entries"][0]["value"]["data"].__setitem__(0, [OVERFLOWING, 0.0]),
+    "dict_data": lambda obj: obj["entries"][0]["value"].update(data={str(r): [1.0, 0.0] for r in range(9)}),
+    "string_data": lambda obj: obj["entries"][0]["value"].update(data="x" * 9),
 }
 
 
@@ -468,7 +565,7 @@ def test_malformed_table_is_config_error(tmp_path, capsys, case):
     main(["generate", "--n", "3", "--seed", "2", "--out", str(table_path)])
     obj = read(table_path)
     MALFORMED_TABLES[case](obj)
-    table_path.write_text(json.dumps(obj))
+    table_path.write_text(json.dumps(obj).replace(json.dumps(OVERFLOWING), "1e400"))
     capsys.readouterr()
     assert main(["construct", "--input", str(table_path), "--out", str(tmp_path / "o.json")]) == EXIT_CONFIG
     err = capsys.readouterr().err

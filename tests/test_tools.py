@@ -68,8 +68,26 @@ def test_describe_reports_bytes_that_hold_the_same_json(tmp_path):
         (out / "r.json").write_text(text)
         (out / "t.txt").write_text(text + str(out))
     assert cli_fileset.compare(a, b) == ["r.json", "t.txt"]
-    assert cli_fileset.describe(a, b, "r.json") == "r.json: bytes differ, JSON values equal"
+    assert cli_fileset.describe(a, b, "r.json") == (
+        "r.json: bytes differ, JSON values equal; first at line 1: '{\"a\": 1}' != '{\"a\":1}'"
+    )
     assert cli_fileset.describe(a, b, "t.txt") == "t.txt: bytes differ (not JSON)"
+    # a layout slip deep in a file: the first differing line is named and shown from both files, newline included
+    layout = json.dumps({"data": [[1.0, -0.0]] * 3, "rows": 3}, indent=2, sort_keys=True)
+    for out, text in ((a, layout), (b, layout.replace("-0.0\n    ],", "-0.0\n  ],", 1))):
+        (out / "m.json").write_text(text)
+    assert cli_fileset.describe(a, b, "m.json") == (
+        "m.json: bytes differ, JSON values equal; first at line 6: '    ],\\n' != '  ],\\n'"
+    )
+    # a missing final newline, or a "\r" that read_text would translate away
+    for out, text in ((a, layout + "\n"), (b, layout)):
+        (out / "n.json").write_text(text)
+    (a / "r.json").write_bytes(b'{"a":\n1}')
+    (b / "r.json").write_bytes(b'{"a":\r\n1}')
+    assert cli_fileset.describe(a, b, "n.json").endswith("first at line 17: '}\\n' != '}'")
+    assert cli_fileset.describe(a, b, "r.json").endswith("first at line 1: '{\"a\":\\n' != '{\"a\":\\r\\n'")
+    (b / "n.json").write_text(layout + "\n\n")
+    assert cli_fileset.describe(a, b, "n.json").endswith("first at line 18: end of file != '\\n'")
 
 
 def test_compare_lists_every_differing_key_path_up_to_the_cap(tmp_path, capsys):

@@ -25,7 +25,11 @@ unless they hold the same names with byte-identical contents, or 2, with one
 line naming the path, when either is not a directory.  For each
 differing JSON file it prints one line per differing key path with both
 values, as in ``chain-c.json: family[0].b.data[3][0]: 0.12 != 0.22``, the
-first LISTED of them in sorted key order and then ``and N more``.  Every report
+first LISTED of them in sorted key order and then ``and N more``.  Two files
+that hold equal JSON values in different bytes get one line naming the first
+differing line of text and showing it from both, as in ``t.json: bytes
+differ, JSON values equal; first at line 3: '  "cols": 3,\\n' != ...``, so a
+layout slip of the writer is found at once.  Every report
 is deterministic for fixed arguments, so a change that should not move any
 result must leave the set byte-identical.
 """
@@ -147,9 +151,12 @@ def compare(a: Path, b: Path) -> list:
     ]
 
 
-def _short(value) -> str:
-    text = json.dumps(value)
+def _short_text(text: str) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _short(value) -> str:
+    return _short_text(json.dumps(value))
 
 
 def differences(x, y, path: str = ""):
@@ -171,17 +178,38 @@ def differences(x, y, path: str = ""):
         yield f"{path or '.'}: {_short(x)} != {_short(y)}"
 
 
+def _first_line_difference(x: str, y: str) -> str:
+    """'line N: X != Y' for the first line, numbered from 1, where the texts x and y differ, each line as a repr.
+
+    A text that ends first shows "end of file" for that line.
+    """
+    left, right = x.splitlines(keepends=True), y.splitlines(keepends=True)
+    index = next((i for i, (u, v) in enumerate(zip(left, right)) if u != v), min(len(left), len(right)))
+    line_x, line_y = (
+        _short_text(repr(lines[index])) if index < len(lines) else "end of file" for lines in (left, right)
+    )
+    return f"line {index + 1}: {line_x} != {line_y}"
+
+
 def describe(a: Path, b: Path, name: str) -> str:
-    """What differs in the file name of directories a and b, one line each: absence, each differing JSON value, or bytes."""
+    """What differs in the file name of directories a and b, one line each: absence, each differing JSON value, or bytes.
+
+    Files that hold equal JSON values in different bytes get one line naming
+    the first differing line of text, so a layout change is found at once.
+    """
     if not (a / name).is_file() or not (b / name).is_file():
         return f"{name}: only in {a if (a / name).is_file() else b}"
     try:
-        found = list(differences(json.loads((a / name).read_text()), json.loads((b / name).read_text())))
+        # decoded as they are, without read_text's newline translation, so a "\r" differs too
+        x, y = ((side / name).read_bytes().decode() for side in (a, b))
+        found = list(differences(json.loads(x), json.loads(y)))
     except ValueError:
         return f"{name}: bytes differ (not JSON)"
+    if not found:
+        return f"{name}: bytes differ, JSON values equal; first at {_first_line_difference(x, y)}"
     if len(found) > LISTED:
         found[LISTED:] = [f"and {len(found) - LISTED} more"]
-    return "\n".join(f"{name}: {line}" for line in found or ["bytes differ, JSON values equal"])
+    return "\n".join(f"{name}: {line}" for line in found)
 
 
 def main(argv=None) -> int:
