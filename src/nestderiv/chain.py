@@ -13,16 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import NestAlgebra
-from .construct import ConstructionChoices, default_choices
 from .derivation import DerivationTable, unit_defects
-from .linalg import _max_op_norm, matrix_to_json
+from .linalg import _max_op_norm, matrix_to_json, scalar_identity_part
 
 
 @dataclass
 class ChainMember:
     k: int
     b: np.ndarray
-    choices: ConstructionChoices
 
 
 @dataclass
@@ -47,16 +45,13 @@ class ChainFamily:
 def _pairwise_scalars(alg: NestAlgebra, members: list) -> dict:
     """(k_a, k_b) -> scalar part of b_a - b_b compressed to range(p_a), for members in increasing k.
 
-    The differences of b_a with every later member are split by one batched
-    trace and one batched SVD, each difference as scalar_identity_part splits it.
+    The differences of b_a with every later member go to scalar_identity_part as one stack.
     """
     lambdas = {}
     for ia, ma in enumerate(members[:-1]):
         d = alg.chain[ma.k - 1]
         later = members[ia + 1 :]
-        diffs = ma.b[:d, :d] - np.stack([mb.b[:d, :d] for mb in later])
-        lams = np.trace(diffs, axis1=1, axis2=2) / d
-        residuals = np.linalg.svd(diffs - lams[:, None, None] * np.eye(d), compute_uv=False).max(axis=1)
+        lams, residuals = scalar_identity_part(ma.b[:d, :d] - np.stack([mb.b[:d, :d] for mb in later]))
         for mb, lam, residual in zip(later, lams.tolist(), residuals.tolist()):
             lambdas[(ma.k, mb.k)] = (lam, residual)
     return lambdas
@@ -65,7 +60,7 @@ def _pairwise_scalars(alg: NestAlgebra, members: list) -> dict:
 def chain_family(table: DerivationTable) -> ChainFamily:
     """b_a for every interior chain level plus pairwise consistency scalars.
 
-    Each b_a is build_b1 at the level's default choices, xi0 = e_d for p of
+    Each b_a is build_b1 at default_choices(alg, k), xi0 = e_d for p of
     rank d, read from the table's columns: column i < d of b_a is
     delta(E_id) e_d, column d of the single value delta(E_id).  The columns
     are added onto zeros, so no entry is -0.0, as in build_b1.
@@ -78,7 +73,7 @@ def chain_family(table: DerivationTable) -> ChainFamily:
         d = alg.chain[k - 1]
         b = np.zeros((alg.n, alg.n), dtype=complex)
         b[:, :d] += table.stacked()[alg.unit_rows()[np.arange(d), d], :, d].T
-        members.append(ChainMember(k=k, b=b, choices=default_choices(alg, k)))
+        members.append(ChainMember(k=k, b=b))
     return ChainFamily(alg=alg, members=members, lambdas=_pairwise_scalars(alg, members))
 
 
@@ -93,11 +88,11 @@ def normalize_chain(family: ChainFamily) -> ChainFamily:
         return family
     alg = family.alg
     base = family.members[0]
-    members = [ChainMember(k=base.k, b=base.b.copy(), choices=base.choices)]
+    members = [ChainMember(k=base.k, b=base.b.copy())]
     for m in family.members[1:]:
         lam, _ = family.lambdas[(base.k, m.k)]
         p = alg.lattice_projection(m.k)
-        members.append(ChainMember(k=m.k, b=m.b + lam * p, choices=m.choices))
+        members.append(ChainMember(k=m.k, b=m.b + lam * p))
     return ChainFamily(alg=alg, members=members, lambdas=_pairwise_scalars(alg, members))
 
 

@@ -115,7 +115,7 @@ class TableValues(MutableMapping):
         return self._alg == other._alg and np.array_equal(self._array, other._array)
 
 
-@dataclass(eq=False)
+@dataclass
 class DerivationTable:
     """delta given by its values on the basis units of alg.
 
@@ -145,12 +145,6 @@ class DerivationTable:
     def stacked(self) -> np.ndarray:
         """The values as one read-only (units, n, n) array, units in basis order: the table's own array, not a copy."""
         return self.values._view
-
-    def __eq__(self, other):
-        """Equal tolerances and values, the values of the same algebra and equal entry by entry."""
-        if not isinstance(other, DerivationTable):
-            return NotImplemented
-        return self.tol == other.tol and self.values == other.values
 
     @property
     def value_scale(self) -> float:
@@ -378,8 +372,6 @@ def _combine(coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
         if count == 1:
             # scalar coefficient: numpy multiplies two one-element complex arrays (n = 1) by a loop that rounds differently
             out[row] += column[row] * values[u]
-        elif count == len(coeffs):
-            out += column[:, None, None] * values[u]
         else:
             rows = np.flatnonzero(column)
             out[rows] += column[rows, None, None] * values[u]

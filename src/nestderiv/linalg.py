@@ -126,20 +126,23 @@ def _max_op_norm(stack, threshold: float = math.inf) -> tuple:
 
 
 def scalar_identity_part(a):
-    """Split a square matrix into its trace-centred scalar part plus remainder.
+    """Split a square matrix, or each of an (m, n, n) stack, into its trace-centred scalar part plus remainder.
 
     Returns (lam, residual) with lam = trace(a)/n and
-    residual = op_norm(a - lam*I), which is zero if and only if a is scalar.
+    residual = op_norm(a - lam*I), which is zero if and only if a is scalar:
+    a complex and a float for one matrix, two arrays of length m for a stack.
     Scalar-ness is the caller's call via residual <= tol.  lam need not
     minimize op_norm(a - lam*I); derivation.distance_to_scalars finds that
     minimum.
     """
-    a = _as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError("scalar_identity_part requires a square matrix")
-    n = a.shape[0]
-    lam = complex(np.trace(a) / n)
-    residual = op_norm(a - lam * np.eye(n))
+    a = np.asarray(a, dtype=complex)
+    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
+        raise DimensionError(f"scalar_identity_part requires a square matrix or a stack of them, got shape {a.shape}")
+    n = a.shape[-1]
+    lam = np.trace(a, axis1=-2, axis2=-1) / n
+    residual = np.linalg.svd(a - lam[..., None, None] * np.eye(n), compute_uv=False).max(axis=-1)
+    if a.ndim == 2:
+        return complex(lam), float(residual)
     return lam, residual
 
 

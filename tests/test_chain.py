@@ -13,7 +13,7 @@ from nestderiv.chain import (
     stabilized_b,
 )
 from nestderiv import construct, derivation
-from nestderiv.construct import ConstructionChoices, build_b1
+from nestderiv.construct import ConstructionChoices, build_b1, default_choices
 from nestderiv.derivation import DerivationTable, inner_from, norm_estimate
 from nestderiv.linalg import op_norm, scalar_identity_part
 
@@ -49,7 +49,7 @@ def test_single_interior_projection_vacuous(rng):
     assert family.lambdas == {}
     assert normalize_chain(family) is family
     assert np.array_equal(stabilized_b(family), family.members[0].b)
-    assert np.array_equal(stabilized_b(family), build_b1(table, family.members[0].choices))
+    assert np.array_equal(stabilized_b(family), build_b1(table, default_choices(alg, family.members[0].k)))
 
 
 def test_differences_are_scalar_on_smaller_projection(rng):
@@ -90,7 +90,7 @@ def test_injected_scalar_removed(rng):
         b = m.b.copy()
         if m.k == family.members[1].k:
             b = b + 0.5 * alg.lattice_projection(m.k)
-        shifted.append(ChainMember(k=m.k, b=b, choices=m.choices))
+        shifted.append(ChainMember(k=m.k, b=b))
     lambdas = {
         (ma.k, mb.k): scalar_identity_part((ma.b - mb.b)[: alg.chain[ma.k - 1], : alg.chain[ma.k - 1]])
         for i, ma in enumerate(shifted)
@@ -170,7 +170,7 @@ def test_family_has_the_bits_of_the_per_level_loops(n, data, seed, mutated):
     assert ks == alg.interior_levels
     expected = oracle_chain_members(table)
     assert [m.b.tobytes() for m in family.members] == [b.tobytes() for b in expected]
-    assert [m.b.tobytes() for m in family.members] == [build_b1(table, m.choices).tobytes() for m in family.members]
+    assert [m.b.tobytes() for m in family.members] == [build_b1(table, default_choices(alg, m.k)).tobytes() for m in family.members]
     assert family.lambdas == oracle_pairwise_scalars(alg, ks, expected)
     normalized = normalize_chain(family)
     assert normalized.lambdas == oracle_pairwise_scalars(alg, ks, [m.b for m in normalized.members])

@@ -14,6 +14,7 @@ from nestderiv import cli
 from nestderiv.algebra import NestAlgebra
 from nestderiv.chain import ChainFamily, ChainMember
 from nestderiv.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, MAX_TABLE_BYTES, main
+from nestderiv.construct import build_b, default_choices
 from nestderiv.derivation import DerivationTable, inner_from, validate
 from nestderiv.linalg import matrix_from_json, matrix_to_json
 
@@ -409,7 +410,7 @@ def test_chain_gates_the_normalized_residuals(tmp_path, capsys, monkeypatch, shi
 
     def shift(family):
         members = [
-            ChainMember(k=m.k, b=m.b + 0.5 * unit(4, m.k - 1, m.k - 1) if m.k == shifted else m.b, choices=m.choices)
+            ChainMember(k=m.k, b=m.b + 0.5 * unit(4, m.k - 1, m.k - 1) if m.k == shifted else m.b)
             for m in family.members
         ]
         return normalize(ChainFamily(alg=family.alg, members=members, lambdas=family.lambdas))
@@ -470,6 +471,33 @@ def test_construct_choice_flags(tmp_path):
         ["construct", "--input", str(table_path), "--k", "2", "--xi0-index", "0", "--out", str(tmp_path / "r2.json")]
     )
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("generate", ["--n", "5", "--chain", "1,x,4"]),
+        # p at k = 2 has rank 2, so eta1 = e_2 lies outside it
+        ("construct", ["--k", "2", "--eta1-index", "2"]),
+        # the last chain index is the identity, not an interior projection
+        ("verify", ["--k", "5"]),
+    ],
+    ids=["generate_chain_not_integers", "eta1_outside_p", "verify_last_index"],
+)
+def test_bad_option_value_is_config_error(tmp_path, capsys, command, flags):
+    table_path, zero = tmp_path / "table.json", tmp_path / "zero.json"
+    main(["generate", "--n", "5", "--seed", "4", "--out", str(table_path)])
+    zero.write_text(json.dumps(matrix_to_json(np.zeros((5, 5)))))
+    args = [command, *flags, "--out", str(tmp_path / "o.json")]
+    if command != "generate":
+        args += ["--input", str(table_path)]
+    if command == "verify":
+        args += ["--b", str(zero)]
+    capsys.readouterr()
+    assert main(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "o.json").exists()
 
 
 BAD_GENERATORS = {
@@ -556,6 +584,8 @@ MALFORMED_TABLES = {
     "overflowing_part": lambda obj: obj["entries"][0]["value"]["data"].__setitem__(0, [OVERFLOWING, 0.0]),
     "dict_data": lambda obj: obj["entries"][0]["value"].update(data={str(r): [1.0, 0.0] for r in range(9)}),
     "string_data": lambda obj: obj["entries"][0]["value"].update(data="x" * 9),
+    # the 9 entries of a 3 x 3 value, declared 1 x 9
+    "value_not_n_by_n": lambda obj: obj["entries"][0]["value"].update(rows=1, cols=9),
 }
 
 
@@ -570,6 +600,28 @@ def test_malformed_table_is_config_error(tmp_path, capsys, case):
     assert main(["construct", "--input", str(table_path), "--out", str(tmp_path / "o.json")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: bad derivation table ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["construct", "verify", "chain"])
+def test_tol_flag_replaces_the_file_tolerance(tmp_path, capsys, command):
+    # one table value 1e-3 off fails validation at the file's tol, 1e-9, and passes at --tol 1e-2
+    table_path, b_path, out = tmp_path / "table.json", tmp_path / "b.json", tmp_path / "o.json"
+    main(["generate", "--n", "4", "--seed", "3", "--out", str(table_path)])
+    obj = read(table_path)
+    obj["entries"][1]["value"]["data"][0][0] += 1e-3
+    table_path.write_text(json.dumps(obj))
+    table = DerivationTable.from_json(obj)
+    assert table.tol == 1e-9
+    b_path.write_text(json.dumps(matrix_to_json(build_b(table, default_choices(table.alg)).b)))
+    args = [command, "--input", str(table_path), "--out", str(out)]
+    if command == "verify":
+        args += ["--b", str(b_path)]
+    capsys.readouterr()
+    assert main(args) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("table failed validation: ")
+    assert not out.exists()
+    assert main([*args, "--tol", "1e-2"]) == EXIT_OK
+    assert out.exists()
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])

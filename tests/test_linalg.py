@@ -100,6 +100,21 @@ class TestScalarIdentityPart:
         assert lam == pytest.approx(1.5)
         assert residual == pytest.approx(0.5, abs=1e-14)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_stack_splits_each_matrix_with_its_bits(self, rng, n):
+        stack = random_complex(rng, (4, n, n))
+        lams, residuals = scalar_identity_part(stack)
+        assert lams.shape == residuals.shape == (4,)
+        single = [scalar_identity_part(a) for a in stack]
+        assert all(type(lam) is complex and type(residual) is float for lam, residual in single)
+        assert lams.tobytes() == np.array([lam for lam, _ in single]).tobytes()
+        assert residuals.tobytes() == np.array([residual for _, residual in single]).tobytes()
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 3), (1, 2, 2, 2)])
+    def test_not_square_or_a_stack_of_squares(self, shape):
+        with pytest.raises(DimensionError):
+            scalar_identity_part(np.zeros(shape))
+
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=30, deadline=None)
