@@ -15,9 +15,6 @@ import numpy as np
 
 from .linalg import DimensionError, _as_matrix, scalar_identity_part
 
-# complex entries of the rank-one orbit maps in one batch of check_structure trials
-_TRIAL_ENTRIES = 1 << 15
-
 # random trials check_structure draws
 _TRIALS = 50
 
@@ -225,61 +222,34 @@ def check_structure(alg: NestAlgebra, seed: int = 0) -> StructureReport:
     in the algebra and carries xi0 to eta (so the orbit of xi0 covers range p);
     and the commutant is trivial (only scalars commute with every basis unit).
 
-    Each of the _TRIALS trials draws, in this stream order, its chain level,
-    the real and imaginary parts of m and the index of xi0.  The trials are
-    drawn and then checked together in batches of max(1, _TRIAL_ENTRIES // n^3)
-    trials, so the rank-one maps of a batch, fewer than n per trial, hold at
-    most max(_TRIAL_ENTRIES, n^3) complex entries.  Failures are listed in
-    trial order.
+    Each of the _TRIALS trials draws, in this stream order, its chain level k,
+    the real and imaginary parts of m and the index of xi0.  No matrix is
+    built for a trial: p is the 0/1 diagonal on the first d = d_k coordinates,
+    so p m p^perp is m's block [:d, d:] with zeros elsewhere, to the bit, and
+    lies in the algebra when that block's entries below the pattern have
+    modulus <= 1e-12.  xi0 = e_x and eta = e_i are basis vectors, so
+    xi0 (x) eta is the matrix unit E_ix: it lies in the algebra exactly when
+    pattern_mask[i, x] holds, and it carries e_x to e_i by definition.
+    Failures are listed in trial order.
     """
     rng = np.random.default_rng(seed)
     report = StructureReport()
-    step = max(1, _TRIAL_ENTRIES // alg.n**3)
-    if alg.interior_levels:
-        for start in range(0, _TRIALS, step):
-            _check_trials(alg, rng, range(start, min(start + step, _TRIALS)), report)
+    n = alg.n
+    interior = alg.interior_levels
+    mask = alg.pattern_mask()
+    for t in range(_TRIALS if interior else 0):
+        k = interior[int(rng.integers(len(interior)))]
+        d = alg.chain[k - 1]
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        x = d + int(rng.integers(n - d))
+        corner = m[:d, d:][~mask[:d, d:]]
+        report.record(np.all(np.abs(corner) <= 1e-12), f"trial {t}: p m pperp not in algebra (k={k})")
+        report.assertions += d
+        for i in np.flatnonzero(~mask[:d, x]).tolist():
+            report.failures.append(f"trial {t}: orbit of xi0 misses basis vector {i} of p")
 
     nullity, residual = _commutant_nullity(alg)
     report.commutant_nullity = nullity
     report.record(nullity == 1, f"commutant nullity {nullity} != 1")
     report.record(residual <= 1e-8, f"commutant element not scalar (residual {residual:.2e})")
     return report
-
-
-def _check_trials(alg: NestAlgebra, rng, batch: range, report: StructureReport):
-    """Draw the trials of batch from rng in stream order, then check them together into report."""
-    n = alg.n
-    interior = alg.interior_levels
-    levels, dims, xi_index = np.empty((3, len(batch)), dtype=int)
-    parts = np.empty((len(batch), 2, n, n))
-    for t in range(len(batch)):
-        k = interior[int(rng.integers(len(interior)))]
-        d = alg.chain[k - 1]
-        rng.standard_normal(out=parts[t, 0])
-        rng.standard_normal(out=parts[t, 1])
-        levels[t], dims[t], xi_index[t] = k, d, d + int(rng.integers(n - d))
-    below = ~alg.pattern_mask()
-    eye = np.eye(n, dtype=complex)
-
-    distinct, level_of = np.unique(levels, return_inverse=True)
-    p = np.stack([alg.lattice_projection(k) for k in distinct.tolist()])[level_of]
-    corner = p @ (parts[:, 0] + 1j * parts[:, 1]) @ (eye - p)
-    in_algebra = np.all(np.abs(corner[:, below]) <= 1e-12, axis=1)
-
-    # rank_one(xi0, eta) = eta xi0^H for every basis vector eta of p, pairs in trial order
-    trial = np.repeat(np.arange(len(batch)), dims)
-    etas = eye[np.arange(len(trial)) - np.repeat(np.cumsum(dims) - dims, dims)]
-    xi0 = eye[xi_index[trial]]
-    maps = etas[:, :, None] * xi0.conj()[:, None, :]
-    inside = np.all(np.abs(maps[:, below]) <= 1e-12, axis=1)
-    carried = np.all(np.isclose((maps @ xi0[:, :, None])[:, :, 0], etas, atol=1e-14), axis=1)
-    missed = ~(inside & carried)
-
-    report.assertions += len(batch) + len(trial)
-    failed = ~in_algebra
-    failed[trial[missed]] = True
-    for t in np.flatnonzero(failed):
-        if not in_algebra[t]:
-            report.failures.append(f"trial {batch[t]}: p m pperp not in algebra (k={levels[t]})")
-        for i in np.flatnonzero(missed[trial == t]).tolist():
-            report.failures.append(f"trial {batch[t]}: orbit of xi0 misses basis vector {i} of p")

@@ -40,7 +40,8 @@ class ConstructionChoices:
         xi0, eta1 = _as_vector(self.xi0), _as_vector(self.eta1)
         if xi0.size != alg.n or eta1.size != alg.n:
             raise ValueError("choice vectors must have the algebra dimension")
-        if abs(np.linalg.norm(xi0) - 1.0) > 1e-12 or abs(np.linalg.norm(eta1) - 1.0) > 1e-12:
+        # <= so that the NaN norm of a vector with a NaN entry fails too
+        if not (abs(np.linalg.norm(xi0) - 1.0) <= 1e-12 and abs(np.linalg.norm(eta1) - 1.0) <= 1e-12):
             raise ValueError("choice vectors must be unit vectors")
         if np.any(xi0[:d] != 0):
             raise ValueError("xi0 must lie in p-perp (first d coordinates zero)")

@@ -400,14 +400,17 @@ def _image(coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
 def evaluate(table: DerivationTable, a) -> np.ndarray:
     """delta(a) = sum over admissible units of a_ij * delta(E_ij), in basis order, units with a_ij = 0 skipped.
 
-    a must lie in the algebra (within the table tolerance).
+    a must lie in the algebra (within the table tolerance); a non-finite entry below the pattern raises
+    EvaluationDomainError at any tolerance.
     """
     a = _as_matrix(a)
     alg = table.alg
     if a.shape != (alg.n, alg.n):
         raise DimensionError(f"expected {alg.n}x{alg.n}, got {a.shape}")
-    # entries below the pattern that are all exactly zero pass at any tolerance, so only others need the SVD
-    if np.any(a[~alg.pattern_mask()]) and not alg.contains(a, tol=table.tol * max(1.0, op_norm(a))):
+    # entries below the pattern that are all exactly zero pass at any tolerance, so only others need the SVD;
+    # a non-finite one fails at any tolerance, and would make the SVD raise LinAlgError
+    below = a[~alg.pattern_mask()]
+    if np.any(below) and not (np.all(np.isfinite(below)) and alg.contains(a, tol=table.tol * max(1.0, op_norm(a)))):
         raise EvaluationDomainError("derivation undefined outside S")
     ui, uj = alg.unit_index()
     return _combine(a[None, ui, uj], table.stacked())[0]
@@ -423,7 +426,8 @@ def rank_one_images(table: DerivationTable, etas, xis) -> np.ndarray:
     coefficient is zero in row m only adds a signed zero there, which leaves
     that row's sum as it is.  An element
     with an entry below the pattern above tol * max(1, |eta_m| |xi_m|), its
-    operator norm being |eta_m| |xi_m|, raises EvaluationDomainError.
+    operator norm being |eta_m| |xi_m|, or with a NaN one, raises
+    EvaluationDomainError.
     """
     alg = table.alg
     etas, xis = _as_matrix(etas), _as_matrix(xis)
@@ -433,7 +437,8 @@ def rank_one_images(table: DerivationTable, etas, xis) -> np.ndarray:
     below = np.abs(outer[:, ~alg.pattern_mask()])
     if np.any(below):
         bound = table.tol * np.maximum(1.0, np.linalg.norm(etas, axis=1) * np.linalg.norm(xis, axis=1))
-        if np.any(below.max(axis=1) > bound):
+        # not <=, so that a NaN below the pattern fails too
+        if not np.all(below.max(axis=1) <= bound):
             raise EvaluationDomainError("derivation undefined outside S")
     ui, uj = alg.unit_index()
     return _combine(outer[:, ui, uj], table.stacked())

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nestderiv import algebra
 from nestderiv.algebra import MatrixUnit, NestAlgebra, _commutant_blocks, _commutant_nullity, check_structure
 from nestderiv.linalg import op_norm
 
@@ -197,16 +196,10 @@ class TestCheckStructure:
         assert abs(eigenvalues[0]) <= 1e-12
         assert eigenvalues[1:].min(initial=np.inf) >= 2 - 1e-12
 
-    @given(
-        algebras(max_n=10),
-        st.integers(min_value=0, max_value=2**32 - 1),
-        st.sampled_from([1, 1 << 8, 1 << 12, algebra._TRIAL_ENTRIES]),
-    )
+    @given(algebras(max_n=10), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_check_structure_matches_per_vector_oracle(self, alg, seed, budget):
-        # the default budget holds 32 of the 50 trials at n = 10; the smaller ones cut batches down to one trial
-        with mock.patch.object(algebra, "_TRIAL_ENTRIES", budget):
-            report = check_structure(alg, seed=seed)
+    def test_check_structure_matches_per_vector_oracle(self, alg, seed):
+        report = check_structure(alg, seed=seed)
         expected = oracle_check_structure(alg, trials=50, seed=seed)
         assert (report.assertions, report.failures, report.commutant_nullity) == (
             expected.assertions,
@@ -223,7 +216,6 @@ class TestCheckStructure:
         mask = alg.pattern_mask().copy()
         mask[0, -1] = mask[1, chain[0]] = False
         monkeypatch.setattr(NestAlgebra, "pattern_mask", lambda self: mask)
-        monkeypatch.setattr(algebra, "_TRIAL_ENTRIES", 1 << 9)
         report = check_structure(alg, seed=4)
         expected = oracle_check_structure(alg, trials=50, seed=4)
         assert (report.assertions, report.failures, report.commutant_nullity) == (
@@ -232,6 +224,25 @@ class TestCheckStructure:
             expected.commutant_nullity,
         )
         assert any("p m pperp" in f for f in report.failures) and any("orbit" in f for f in report.failures)
+
+    @given(algebras(max_n=10), st.integers(min_value=0, max_value=2**32 - 1), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_check_structure_reads_a_flipped_mask_as_the_oracle(self, alg, seed, data):
+        # check_structure looks the trials up in the mask, the oracle builds their matrices and calls contains;
+        # the basis units are cached first from the true mask, so the commutant is the algebra's own
+        alg.unit_index()
+        mask = alg.pattern_mask().copy()
+        position = st.tuples(st.integers(0, alg.n - 1), st.integers(0, alg.n - 1))
+        for i, j in data.draw(st.lists(position, min_size=1, max_size=3, unique=True)):
+            mask[i, j] = not mask[i, j]
+        with mock.patch.object(NestAlgebra, "pattern_mask", lambda self: mask):
+            report = check_structure(alg, seed=seed)
+            expected = oracle_check_structure(alg, trials=50, seed=seed)
+        assert (report.assertions, report.failures, report.commutant_nullity) == (
+            expected.assertions,
+            expected.failures,
+            expected.commutant_nullity,
+        )
 
     def test_t32_without_the_kronecker_system(self):
         # the dense (units * n^2, n^2) system needed about 9 GB here

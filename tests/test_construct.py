@@ -135,6 +135,17 @@ class TestBuildB1:
             # non-unit vector
             build_b1(table, ConstructionChoices(k=1, xi0=2 * basis_vec(3, 1), eta1=basis_vec(3, 0)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_choices_rejected(self, bad):
+        # a vector with a non-finite entry has a NaN or infinite norm, which is not within 1e-12 of 1
+        alg = NestAlgebra.triangular(4)
+        table = zero_table(alg)
+        vectors = {"xi0": np.array([0, 0, bad, 0]), "eta1": np.array([1, bad, 0, 0])}
+        for name, vector in vectors.items():
+            fields = {"xi0": basis_vec(4, 2), "eta1": basis_vec(4, 0), name: vector}
+            with pytest.raises(ValueError, match="unit vectors"):
+                build_b(table, ConstructionChoices(k=2, **fields))
+
 
 class TestBuildC1:
     def test_zero_table(self):

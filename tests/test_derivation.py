@@ -371,6 +371,16 @@ class TestEvaluate:
         with pytest.raises(EvaluationDomainError):
             evaluate(table, unit(2, 1, 0))
 
+    def test_non_finite_entry_below_the_pattern_rejected(self, rng):
+        # such an element lies outside S at any tolerance, and its operator norm cannot be computed
+        alg = NestAlgebra.triangular(3)
+        table = inner_from(alg, random_complex(rng, (3, 3)))
+        for bad in (np.nan, np.inf):
+            a = unit(3, 0, 2)
+            a[2, 0] = bad
+            with pytest.raises(EvaluationDomainError):
+                evaluate(table, a)
+
     def test_domain_contract(self, rng):
         alg = NestAlgebra(5, (2, 3, 5))
         table = inner_from(alg, random_complex(rng, (5, 5)))
@@ -448,6 +458,15 @@ class TestEvaluate:
         assert images.shape == (rows, n, n)
         for m in range(rows):
             assert images[m].tobytes() == evaluate(table, np.outer(etas[m], xis[m].conj())).tobytes()
+
+    def test_rank_one_images_rejects_nan_below_the_pattern(self, rng):
+        # a NaN entry below the pattern is not within any bound
+        alg = NestAlgebra.triangular(3)
+        table = inner_from(alg, random_complex(rng, (3, 3)))
+        with pytest.raises(EvaluationDomainError):
+            rank_one_images(table, [[0, 0, np.nan]], [[1, 0, 0]])
+        with pytest.raises(EvaluationDomainError):
+            rank_one_images(table, [[0, 0, 1], [1, 0, 0]], [[np.nan, 0, 0], [1, 0, 0]])
 
     def test_rank_one_images_domain_contract(self, rng):
         alg = NestAlgebra(5, (2, 3, 5))
