@@ -22,7 +22,7 @@ from .derivation import (
     rank_one_images,
     unit_defects,
 )
-from .linalg import _as_vector, _max_op_norm, basis_vector, matrix_to_json, op_norm, scalar_identity_part
+from .linalg import _as_matrix, _as_vector, _max_op_norm, basis_vector, matrix_to_json, scalar_identity_part
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ def build_b1(table: DerivationTable, choices: ConstructionChoices) -> np.ndarray
     p0 = xi0 (x) xi0; the column of b1 at eta is delta(a) xi0.  Columns in
     p-perp are zero.
     """
-    return _corner(table, choices)[1]
+    return _corner(table, choices)["b1"].copy()
 
 
 def build_c1(table: DerivationTable, choices: ConstructionChoices) -> np.ndarray:
@@ -175,21 +175,31 @@ def _c1(table: DerivationTable, d: int) -> np.ndarray:
     return c1
 
 
-def _corner(table: DerivationTable, choices: ConstructionChoices) -> tuple:
-    """(d, b1, c2, rows, s) from one rank_one_images call over the corner's rank-one elements.
+def _corner(table: DerivationTable, choices: ConstructionChoices) -> dict:
+    """The corner kernel {"d", "b1", "c2", "rows", "s"} from one rank_one_images call over the corner's rank-one elements.
 
     b1 has delta(e_i xi0^H) xi0 in column i < d.  With q_a = eta1 e_a^H for e_a
     over the standard basis of p-perp and q1 = eta1 xi0^H, rows[a - d] is
     eta1^H delta(q_a), s = eta1^H delta(q1) xi0, and the row block of c2 at e_a
     is -q_a* delta(q_a) p-perp + q_a* delta(q1) q1* q_a
     = e_a (x) (-rows[a - d] p-perp + s e_a^H).
+
+    The choices are checked on every call.  The kernel is kept in the table's
+    values (TableValues._derived), keyed by k and the bytes of xi0 and eta1,
+    until a value is written or a call with other choices replaces it, and
+    _rule adds the triple rule to it.  Its arrays are read-only, so callers
+    that hand one out copy it.
     """
     d = choices.validate(table.alg)
-    n = table.alg.n
     xi0, eta1 = _as_vector(choices.xi0), _as_vector(choices.eta1)
+    key = (choices.k, xi0.tobytes(), eta1.tobytes())
+    corner = table.values._derived.get("corner")
+    if corner is not None and corner["key"] == key:
+        return corner
+
+    n = table.alg.n
     eye = np.eye(n)
     basis = eye[d:]
-
     etas = np.vstack([eye[:d], np.tile(eta1, (n - d + 1, 1))])
     xis = np.vstack([np.tile(xi0, (d, 1)), basis, xi0])
     images = rank_one_images(table, etas, xis)
@@ -203,7 +213,11 @@ def _corner(table: DerivationTable, choices: ConstructionChoices) -> tuple:
     c2_rows += s * basis
     # added onto zeros, so an entry the product leaves at -0.0 is 0.0, as in a sum of per-vector blocks
     c2 = np.zeros((n, n), dtype=complex) + basis.T @ c2_rows
-    return d, b1, c2, rows, s
+    for array in (b1, c2, rows):
+        array.setflags(write=False)
+    corner = {"key": key, "d": d, "b1": b1, "c2": c2, "rows": rows, "s": s}
+    table.values._derived["corner"] = corner
+    return corner
 
 
 def build_c2(table: DerivationTable, choices: ConstructionChoices) -> np.ndarray:
@@ -212,7 +226,7 @@ def build_c2(table: DerivationTable, choices: ConstructionChoices) -> np.ndarray
     The sum is independent of the orthonormal basis of p-perp it runs over
     (the linearity lemma); the tests check that against the per-vector oracle.
     """
-    return _corner(table, choices)[2]
+    return _corner(table, choices)["c2"].copy()
 
 
 def build_b(table: DerivationTable, choices: ConstructionChoices) -> ConstructionArtifacts:
@@ -220,8 +234,8 @@ def build_b(table: DerivationTable, choices: ConstructionChoices) -> Constructio
 
     The choices are checked once, by _corner.
     """
-    d, b1, c2, _, _ = _corner(table, choices)
-    c1 = _c1(table, d)
+    corner = _corner(table, choices)
+    b1, c1, c2 = corner["b1"].copy(), _c1(table, corner["d"]), corner["c2"].copy()
     b2 = b1 + c1
     return ConstructionArtifacts(b1=b1, c1=c1, b2=b2, c2=c2, b=b2 + c2, choices=choices)
 
@@ -245,24 +259,25 @@ def triple_rule_residual(table: DerivationTable, choices: ConstructionChoices) -
     _max_op_norm.  Every argument of delta lies in the algebra, and if not,
     the construction itself is broken and an error propagates.
     """
-    d, b1, _, rows, s = _corner(table, choices)
-    return _rule(table, d, b1, rows, s)
+    return _rule(table, _corner(table, choices))
 
 
-def _rule(table: DerivationTable, d: int, b1: np.ndarray, rows: np.ndarray, s) -> RuleResidual:
-    """triple_rule_residual from the d, b1, rows and s of one _corner."""
-    alg = table.alg
-    n = alg.n
-    # pairs (a, i), a over p-perp outermost
-    pa, pi = np.repeat(np.arange(d, n), d), np.tile(np.arange(d), n - d)
-    pairs = np.arange(len(pa))
-    rhs = np.zeros((len(pa), n, n), dtype=complex)
-    rhs[pairs, :, pa] = b1[:, pi].T
-    rhs[pairs, pi, :] += rows[pa - d]
-    rhs[pairs, pi, pa] -= s
-    units = table.stacked()[alg.unit_rows()[pi, pa]]
-    worst, index, _ = _max_op_norm(np.subtract(units, rhs, out=rhs))
-    return RuleResidual(max_residual=worst, unit=(int(pi[index]), int(pa[index])))
+def _rule(table: DerivationTable, corner: dict) -> RuleResidual:
+    """triple_rule_residual from a _corner kernel, computed on the first call and kept in the kernel."""
+    if "rule" not in corner:
+        alg = table.alg
+        n, d, b1, rows = alg.n, corner["d"], corner["b1"], corner["rows"]
+        # pairs (a, i), a over p-perp outermost
+        pa, pi = np.repeat(np.arange(d, n), d), np.tile(np.arange(d), n - d)
+        pairs = np.arange(len(pa))
+        rhs = np.zeros((len(pa), n, n), dtype=complex)
+        rhs[pairs, :, pa] = b1[:, pi].T
+        rhs[pairs, pi, :] += rows[pa - d]
+        rhs[pairs, pi, pa] -= corner["s"]
+        units = table.stacked()[alg.unit_rows()[pi, pa]]
+        worst, index, _ = _max_op_norm(np.subtract(units, rhs, out=rhs))
+        corner["rule"] = (worst, (int(pi[index]), int(pa[index])))
+    return RuleResidual(*corner["rule"])
 
 
 def verify(
@@ -285,30 +300,43 @@ def verify(
     Each residual is a maximum from _max_op_norm, which takes SVDs only of the
     units that can reach it, and worst_units names the first unit in basis
     order that reaches it; for rule_max, the first in triple_rule_residual's
-    pair order.  A generator that is not n x n raises DimensionError.  The
-    choices are checked once, by the one _corner that gives the triple rule.
+    pair order.  Each defect is normed in one pass: residual_full is the
+    largest of the maxima over the pSp units, the corner units and the units
+    E_ij with i < d <= j, which hold every unit.  The norms of b1, b2 and b
+    come from one stacked SVD, which gives each its own bits.  A generator
+    that is not n x n raises DimensionError.  The choices are checked once, by
+    the _corner that gives the triple rule, which is computed once for the
+    table's values and choices and then kept (see _corner), as value_scale is.
     """
     alg = table.alg
-    d, b1, _, rows, s = _corner(table, artifacts.choices)
+    corner = _corner(table, artifacts.choices)
     if generator is not None:
         generator = _as_operator(alg, generator, "generator")
     if tol is None:
         tol = table.tol * table.value_scale
 
-    rule = _rule(table, d, b1, rows, s)
+    rule = _rule(table, corner)
+    d = corner["d"]
     ui, uj = alg.unit_index()
-    psp, corner = np.flatnonzero((ui < d) & (uj < d)), np.flatnonzero((ui >= d) & (uj >= d))
-
+    # pSp, the corner and p S p-perp: every unit, each in one part
+    parts = [np.flatnonzero(rows & cols) for rows, cols in ((ui < d, uj < d), (ui >= d, uj >= d), (ui < d, uj >= d))]
     defects = unit_defects(table, artifacts.b)
-    residual_pSp, at_pSp, _ = _max_op_norm(defects[psp])
-    residual_corner, at_corner, _ = _max_op_norm(defects[corner])
-    residual_full, at_full, _ = _max_op_norm(defects)
+    maxima = []
+    for part in parts:
+        value, at, _ = _max_op_norm(defects[part])
+        maxima.append((value, int(part[at])))
+    (residual_pSp, at_pSp), (residual_corner, at_corner) = maxima[:2]
+    # the first unit in basis order among the parts that reach the largest maximum
+    residual_full, at_full = max(maxima, key=lambda m: (m[0], -m[1]))
 
     estimate = norms if norms is not None else norm_estimate(table, generator=generator)
+    b1_norm, b2_norm, b_norm = np.linalg.svd(
+        np.stack([_as_matrix(x) for x in (artifacts.b1, artifacts.b2, artifacts.b)]), compute_uv=False
+    ).max(axis=1)
     norm_data = {
-        "b1": op_norm(artifacts.b1),
-        "b2": op_norm(artifacts.b2),
-        "b": op_norm(artifacts.b),
+        "b1": float(b1_norm),
+        "b2": float(b2_norm),
+        "b": float(b_norm),
         "delta_lower": estimate.lower,
         "delta_upper": estimate.upper,
     }
@@ -327,8 +355,8 @@ def verify(
         gauge=gauge,
         tol=tol,
         worst_units={
-            "residual_pSp": tuple(units[psp[at_pSp]]),
-            "residual_corner": tuple(units[corner[at_corner]]),
+            "residual_pSp": tuple(units[at_pSp]),
+            "residual_corner": tuple(units[at_corner]),
             "residual_full": tuple(units[at_full]),
             "rule_max": rule.unit,
         },

@@ -66,6 +66,11 @@ class TableValues(MutableMapping):
     unit key (KeyError), an n x n value (DimensionError) and finite entries
     (ValueError), before it writes the row, so a rejected value leaves the
     table as it was.  A unit cannot be deleted.
+
+    _derived holds quantities computed from the values: the maximum of
+    DerivationTable.value_scale and the corner kernel of construct._corner.
+    Every write that is accepted empties it, so nothing stored is older than
+    the values; a rejected one raises before it writes and keeps it.
     """
 
     def __init__(self, alg: NestAlgebra):
@@ -73,6 +78,7 @@ class TableValues(MutableMapping):
         self._array = np.zeros((len(alg.unit_index()[0]), alg.n, alg.n), dtype=complex)
         self._view = self._array.view()
         self._view.setflags(write=False)
+        self._derived = {}
 
     def _row(self, unit) -> int:
         """The row of the basis unit (i, j); KeyError for any other key."""
@@ -98,6 +104,7 @@ class TableValues(MutableMapping):
         if not np.all(np.isfinite(value)):
             raise ValueError(f"non-finite value for unit {tuple(unit)}")
         self._array[row] = value
+        self._derived.clear()
 
     def __delitem__(self, unit):
         raise TypeError("a table holds a value for every basis unit; assign the unit a new value instead")
@@ -153,9 +160,13 @@ class DerivationTable:
         Every tolerance is table.tol times this, so it scales with the table
         at any size, and a zero table gets tolerance 0.  The maximum comes from
         _max_op_norm, which norms only the values whose Frobenius norm can
-        reach it, and is the one over all values, to the bit.
+        reach it, and is the one over all values, to the bit.  It is computed
+        once and kept with the values until one of them is written.
         """
-        return _max_op_norm(self.stacked())[0]
+        derived = self.values._derived
+        if "value_scale" not in derived:
+            derived["value_scale"] = _max_op_norm(self.stacked())[0]
+        return derived["value_scale"]
 
     def to_json(self) -> dict:
         entries = [
@@ -400,17 +411,17 @@ def _image(coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
 def evaluate(table: DerivationTable, a) -> np.ndarray:
     """delta(a) = sum over admissible units of a_ij * delta(E_ij), in basis order, units with a_ij = 0 skipped.
 
-    a must lie in the algebra (within the table tolerance); a non-finite entry below the pattern raises
-    EvaluationDomainError at any tolerance.
+    a must lie in the algebra (within the table tolerance).  An a with a nonzero entry below the pattern and a
+    non-finite entry anywhere raises EvaluationDomainError at any tolerance.
     """
     a = _as_matrix(a)
     alg = table.alg
     if a.shape != (alg.n, alg.n):
         raise DimensionError(f"expected {alg.n}x{alg.n}, got {a.shape}")
     # entries below the pattern that are all exactly zero pass at any tolerance, so only others need the SVD;
-    # a non-finite one fails at any tolerance, and would make the SVD raise LinAlgError
+    # a non-finite entry of a, inside the pattern or not, would make the SVD raise LinAlgError
     below = a[~alg.pattern_mask()]
-    if np.any(below) and not (np.all(np.isfinite(below)) and alg.contains(a, tol=table.tol * max(1.0, op_norm(a)))):
+    if np.any(below) and not (np.all(np.isfinite(a)) and alg.contains(a, tol=table.tol * max(1.0, op_norm(a)))):
         raise EvaluationDomainError("derivation undefined outside S")
     ui, uj = alg.unit_index()
     return _combine(a[None, ui, uj], table.stacked())[0]

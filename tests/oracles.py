@@ -452,6 +452,51 @@ def oracle_verify_residuals(table, artifacts):
     }
 
 
+def oracle_three_pass_verify(table, artifacts, generator=None):
+    """verify as three _max_op_norm passes over b's defects (pSp, corner, then every unit) and op_norm one at a time.
+
+    The triple rule and the tolerance come from oracle_batched_rule and
+    oracle_value_scale, so nothing is read from what the table keeps.
+    Returns a VerificationReport.
+    """
+    from nestderiv.construct import VerificationReport
+    from nestderiv.derivation import norm_estimate, unit_defects
+    from nestderiv.linalg import _max_op_norm, op_norm, scalar_identity_part
+
+    alg = table.alg
+    units = alg.basis_units()
+    d = alg.chain[artifacts.choices.k - 1]
+    ui, uj = alg.unit_index()
+    psp, corner = np.flatnonzero((ui < d) & (uj < d)), np.flatnonzero((ui >= d) & (uj >= d))
+    defects = unit_defects(table, artifacts.b)
+    residual_pSp, at_pSp, _ = _max_op_norm(defects[psp])
+    residual_corner, at_corner, _ = _max_op_norm(defects[corner])
+    residual_full, at_full, _ = _max_op_norm(defects)
+    rule_max, rule_unit = oracle_batched_rule(table, artifacts.choices)
+    estimate = norm_estimate(table, generator=generator)
+    return VerificationReport(
+        residual_pSp=residual_pSp,
+        residual_corner=residual_corner,
+        residual_full=residual_full,
+        rule_max=rule_max,
+        norms={
+            "b1": op_norm(artifacts.b1),
+            "b2": op_norm(artifacts.b2),
+            "b": op_norm(artifacts.b),
+            "delta_lower": estimate.lower,
+            "delta_upper": estimate.upper,
+        },
+        gauge=None if generator is None else scalar_identity_part(artifacts.b - generator),
+        tol=table.tol * oracle_value_scale(table),
+        worst_units={
+            "residual_pSp": tuple(units[psp[at_pSp]]),
+            "residual_corner": tuple(units[corner[at_corner]]),
+            "residual_full": tuple(units[at_full]),
+            "rule_max": rule_unit,
+        },
+    )
+
+
 def oracle_batched_rule(table, choices):
     """triple_rule_residual's (maximum, unit (i, a) of the first pair reaching it) with every pair normed by one batched SVD."""
     from nestderiv.derivation import rank_one_images

@@ -50,6 +50,7 @@ from oracles import (
     oracle_norm_estimate,
     oracle_row_c1,
     oracle_rule_max,
+    oracle_three_pass_verify,
     oracle_verify_residuals,
 )
 
@@ -278,12 +279,12 @@ class TestBuildB:
         with pytest.raises(ValueError, match="p-perp"):
             verify(table, ConstructionArtifacts(art.b1, art.c1, art.b2, art.c2, art.b, bad))
 
-    def test_one_rank_one_images_call_per_entry_point(self, rng, monkeypatch):
-        # b1, c2 and the triple rule read their images from one _corner, which checks the choices; c1 reads table rows
+    def test_one_rank_one_images_call_per_values_and_choices(self, rng, monkeypatch):
+        # the six entry points share one _corner kernel, kept with the table's values, and each checks its choices;
+        # c1 reads table rows
         alg = NestAlgebra(7, (2, 5, 7))
         table = inner_from(alg, random_complex(rng, (7, 7)))
-        choices = choices_for(alg, 2)
-        art = build_b(table, choices)
+        choices, other = choices_for(alg, 2), choices_for(alg, 1)
         calls = {}
         images, validate = construct.rank_one_images, ConstructionChoices.validate
 
@@ -297,8 +298,9 @@ class TestBuildB:
         monkeypatch.setattr(construct, "rank_one_images", count("images", images))
         monkeypatch.setattr(construct, "evaluate", count("evaluate", construct.evaluate))
         monkeypatch.setattr(ConstructionChoices, "validate", count("validate", validate))
+        calls.update(images=0, validate=0, evaluate=0)
+        art = build_b(table, choices)
         entries = {
-            build_b: (table, choices),
             build_b1: (table, choices),
             build_c1: (table, choices),
             build_c2: (table, choices),
@@ -306,10 +308,97 @@ class TestBuildB:
             verify: (table, art),
         }
         for entry, args in entries.items():
-            calls.update(images=0, validate=0, evaluate=0)
             entry(*args)
-            images_calls = 0 if entry is build_c1 else 1
-            assert calls == {"images": images_calls, "validate": 1, "evaluate": 0}, entry.__name__
+        assert calls == {"images": 1, "validate": 6, "evaluate": 0}
+        entries[build_b] = (table, choices)
+        for entry, args in entries.items():
+            if entry is build_c1:
+                continue
+            # a write, even of the value already there, drops the kernel; so does a call with other choices
+            table.values[(0, 0)] = table.values[(0, 0)]
+            for call in (lambda: entry(*args), lambda: build_b1(table, other), lambda: entry(*args)):
+                calls.update(images=0, validate=0, evaluate=0)
+                call()
+                assert calls == {"images": 1, "validate": 1, "evaluate": 0}, entry.__name__
+
+
+def _bits(result):
+    """An entry point's result as bytes of its arrays, or the repr of its numbers, which tells every float apart."""
+    if isinstance(result, np.ndarray):
+        return result.tobytes()
+    if isinstance(result, ConstructionArtifacts):
+        return [x.tobytes() for x in (result.b1, result.c1, result.b2, result.c2, result.b)] + [repr(result.choices.k)]
+    return repr(result)
+
+
+class TestStoredQuantities:
+    """value_scale and the _corner kernel, kept with a table's values, against the same calls on a fresh copy."""
+
+    @given(
+        construction_tables(),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["write", "reject", "mutate", "build_b", "build_b1", "build_c1", "build_c2", "rule",
+                                 "verify", "validate", "value_scale"]),
+                st.integers(min_value=0, max_value=1),
+            ),
+            max_size=12,
+        ),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_entry_point_gives_the_bits_of_a_freshly_built_table(self, table_and_c, steps, seed):
+        """Through accepted and rejected writes, and in-place changes to returned arrays and to choices.xi0 and eta1."""
+        table, _ = table_and_c
+        alg, n = table.alg, table.alg.n
+        units = alg.basis_units()
+        rng = np.random.default_rng(seed)
+        # the default choices at the first interior level and random unit vectors at the last
+        k = alg.interior_levels[-1]
+        d = alg.chain[k - 1]
+        xi0, eta1 = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+        xi0[d:], eta1[:d] = random_complex(rng, n - d), random_complex(rng, d)
+        pool = [
+            default_choices(alg, alg.interior_levels[0]),
+            ConstructionChoices(k=k, xi0=xi0 / np.linalg.norm(xi0), eta1=eta1 / np.linalg.norm(eta1)),
+        ]
+        art = build_b(table, pool[0])
+        returned = []
+        entries = {
+            "build_b": build_b,
+            "build_b1": build_b1,
+            "build_c1": build_c1,
+            "build_c2": build_c2,
+            "rule": triple_rule_residual,
+            "verify": lambda t, choices: verify(t, art),
+            "validate": lambda t, choices: validate(t),
+            "value_scale": lambda t, choices: t.value_scale,
+        }
+        for step, index in steps:
+            choices = pool[index]
+            u = units[int(rng.integers(len(units)))]
+            if step == "write":
+                table.values[u] = table.values[u] + random_complex(rng, (n, n))
+            elif step == "reject":
+                with pytest.raises(ValueError):
+                    table.values[u] = np.full((n, n), np.nan)
+                with pytest.raises(DimensionError):
+                    table.values[u] = np.zeros((n + 1, n + 1))
+            elif step == "mutate":
+                for x in (art.b1, art.c2, art.b, *returned):
+                    x += 1.0
+                # other unit vectors of p-perp and p, in place
+                rank = alg.chain[choices.k - 1]
+                for part in (choices.xi0[rank:], choices.eta1[:rank]):
+                    part[:] = np.roll(part, 1)
+            else:
+                fresh = DerivationTable(alg, dict(table.values.items()), table.tol)
+                got = entries[step](table, choices)
+                assert _bits(got) == _bits(entries[step](fresh, choices)), step
+                if step == "build_b":
+                    art = got
+                elif isinstance(got, np.ndarray):
+                    returned.append(got)
 
 
 @st.composite
@@ -561,6 +650,20 @@ class TestVerify:
         calls.clear()
         verify(table, art)
         assert len(calls) == 1 and calls[0] is art.b
+
+    @given(construction_tables(), st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(["built", "zero", "integer"]))
+    @settings(max_examples=60, deadline=None)
+    def test_report_is_the_three_pass_formulas(self, table_and_c, seed, b):
+        """Every field, to the bit; a zero or small-integer b ties the maxima of the three parts."""
+        table, c = table_and_c
+        n = table.alg.n
+        rng = np.random.default_rng(seed)
+        for k in table.alg.interior_levels:
+            art = build_b(table, default_choices(table.alg, k))
+            if b != "built":
+                x = np.zeros((n, n), dtype=complex) if b == "zero" else rng.integers(-1, 2, (n, n)).astype(complex)
+                art = ConstructionArtifacts(b1=art.b1, c1=art.c1, b2=x + art.c1, c2=art.c2, b=x, choices=art.choices)
+            assert repr(verify(table, art, generator=c)) == repr(oracle_three_pass_verify(table, art, generator=c))
 
     def test_generator_must_be_n_by_n(self, rng):
         # a 1 x 1 generator used to broadcast into the gauge and give delta_upper 0.0, below delta_lower

@@ -300,8 +300,9 @@ class TestValidate:
         table.values[(2, 5)] = table.values[(2, 5)] + 1e-3 * random_complex(rng, (10, 10))
         table.value_scale
         scale = sum(svd_batches)
+        # validate reads the stored value_scale, so its only SVDs are of pairs
         report = validate(table)
-        normed = sum(svd_batches) - 2 * scale
+        normed = sum(svd_batches) - scale
         want = oracle_batched_validate(table)
         assert report.failing_pairs == want.failing_pairs and report.max_residual == want.max_residual
         # of the 220 pairs with j == k, those that fail and few others are normed
@@ -378,6 +379,11 @@ class TestEvaluate:
         for bad in (np.nan, np.inf):
             a = unit(3, 0, 2)
             a[2, 0] = bad
+            with pytest.raises(EvaluationDomainError):
+                evaluate(table, a)
+            # a non-finite entry inside the pattern with a finite one below it: no operator norm either
+            a = np.eye(3, dtype=complex)
+            a[0, 1], a[2, 0] = bad, 1.0
             with pytest.raises(EvaluationDomainError):
                 evaluate(table, a)
 

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,14 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "cli_fileset.py"
 spec = importlib.util.spec_from_file_location("cli_fileset", TOOL)
 cli_fileset = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(cli_fileset)
+spec = importlib.util.spec_from_file_location("ab", TOOL.with_name("ab.py"))
+ab = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ab)
+
+METRICS = [
+    {"name": "pass_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "ok_frac", "unit": "ratio", "better": "higher", "bound": 0.01},
+]
 
 
 def test_cli_fileset_writes_and_compares_the_smoke_set(tmp_path, capsys):
@@ -121,3 +130,64 @@ def test_compare_of_a_missing_directory_names_it_and_exits_2(tmp_path, capsys):
         out, err = capsys.readouterr()
         bad = pair[1] if pair[0] == a else pair[0]
         assert out == "" and err == f"not a directory: {bad}\n"
+
+
+def test_ab_summary_counts_wins_and_checks_the_gain_and_the_bound():
+    # pass_s: the change wins 9 of 10 (pair 4 a tie), medians 0.31 and 0.245 against a parent spread of 0.01
+    parent = [0.30, 0.31, 0.32, 0.31, 0.30, 0.32, 0.31, 0.31, 0.30, 0.32]
+    change = [0.24, 0.25, 0.24, 0.31, 0.25, 0.24, 0.25, 0.24, 0.25, 0.24]
+    pairs = [({"pass_s": p, "ok_frac": 1.0}, {"pass_s": c, "ok_frac": 1.0}) for p, c in zip(parent, change)]
+    assert ab.summarize(pairs, METRICS) == [
+        "pass_s (s, lower is better): parent 0.31 [0.3025, 0.3175], change 0.245 [0.24, 0.25], change wins 9 of 10; "
+        "gain shown: yes; worse than the 25% bound: no",
+        "ok_frac (ratio, higher is better): parent 1 [1, 1], change 1 [1, 1], change wins 0 of 10; "
+        "gain shown: no; worse than the 1% bound: no",
+    ]
+    # one more loss is 8 of 10 wins; a change 30% slower is worse than the bound and wins nothing
+    pairs[0][1]["pass_s"] = 0.35
+    assert "change wins 8 of 10; gain shown: no;" in ab.summarize(pairs, METRICS)[0]
+    slower = [({"pass_s": p, "ok_frac": 1.0}, {"pass_s": 1.3 * p, "ok_frac": 0.98}) for p in parent]
+    assert [line.split("; ", 1)[1] for line in ab.summarize(slower, METRICS)] == [
+        "gain shown: no; worse than the 25% bound: yes",
+        "gain shown: no; worse than the 1% bound: yes",
+    ]
+    assert ab.summarize([], METRICS) == []
+
+
+def test_ab_alternates_the_first_side_and_exits_1_on_a_failed_run(tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"command": ["true"], "run_seconds": 30, "end_to_end": METRICS}))
+    calls = []
+
+    def fake_run(checkout, command, workload, seed, seconds):
+        calls.append((checkout.name, workload, seed, seconds))
+        if len(calls) == 6:
+            return None
+        return {"pass_s": 0.3 if checkout == tmp_path else 0.2, "ok_frac": 1.0}
+
+    monkeypatch.setattr(ab, "run", fake_run)
+    change = tmp_path / "change"
+    assert ab.main([str(tmp_path), str(change), "--workload", "lib-sweep", "--pairs", "3", "--seed", "2"]) == 1
+    assert [name for name, *_ in calls] == [tmp_path.name, "change", "change", tmp_path.name, tmp_path.name, "change"]
+    assert {tuple(rest) for _, *rest in calls} == {("lib-sweep", 2, 30)}
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [
+        "pair 1 (parent first, parent / change): pass_s 0.3 / 0.2, ok_frac 1 / 1",
+        "pair 2 (change first, parent / change): pass_s 0.3 / 0.2, ok_frac 1 / 1",
+        "pair 3: a run failed",
+    ]
+    assert lines[3].startswith("pass_s (s, lower is better): parent 0.3 [0.3, 0.3], change 0.2 [0.2, 0.2], change wins 2 of 2")
+    calls.clear()
+    assert ab.main([str(tmp_path), str(change), "--workload", "cli-tn", "--pairs", "1", "--seconds", "5"]) == 0
+    assert calls[0][1:] == ("cli-tn", 1, 5.0)
+
+
+def test_ab_run_reads_the_last_line_and_rejects_incorrect_or_failed_runs(tmp_path, capsys):
+    def command(correct, code=0):
+        result = {"correct": correct, "metrics": {"pass_s": {"value": 0.5, "unit": "s"}}}
+        return [sys.executable, "-c", f"import sys; print('env {{}}'); print({json.dumps(json.dumps(result))}); sys.exit({code})"]
+
+    assert ab.run(tmp_path, command(True), "lib-sweep", 1, 0.1) == {"pass_s": 0.5}
+    assert ab.run(tmp_path, command(False), "lib-sweep", 1, 0.1) is None
+    assert ab.run(tmp_path, command(True, 1), "lib-sweep", 1, 0.1) is None
+    assert ab.run(tmp_path, [sys.executable, "-c", "print('no json')"], "lib-sweep", 1, 0.1) is None
+    assert capsys.readouterr().err.count(f"{tmp_path}: exit") == 3
