@@ -8,6 +8,7 @@ residual whose vanishing is equivalent to b implementing the derivation on
 all of the algebra.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +35,7 @@ class ConstructionChoices:
     eta1: np.ndarray
 
     def validate(self, alg: NestAlgebra):
-        if self.k not in alg.interior_levels:
+        if not (isinstance(self.k, numbers.Integral) and self.k in alg.interior_levels):
             raise ValueError(f"k={self.k} is not an interior chain index for {alg.chain}")
         d = alg.chain[self.k - 1]
         xi0, eta1 = _as_vector(self.xi0), _as_vector(self.eta1)
@@ -138,7 +139,7 @@ def default_choices(alg: NestAlgebra, k: int | None = None) -> ConstructionChoic
     if k is None:
         target = (alg.n + 1) // 2
         k = min(interior, key=lambda kk: (abs(alg.chain[kk - 1] - target), kk))
-    elif k not in interior:
+    elif not (isinstance(k, numbers.Integral) and k in interior):
         raise ValueError(f"k={k} is not an interior chain index for {alg.chain}")
     return ConstructionChoices(k=k, xi0=basis_vector(alg.n, alg.chain[k - 1]), eta1=basis_vector(alg.n, 0))
 

@@ -263,14 +263,16 @@ def unit_commutators(alg: NestAlgebra, x) -> np.ndarray:
 
     x E_ij is column i of x placed in column j, and E_ij x is row j of x
     placed in row i.  Written in that order onto zeros, every entry is
-    bit-identical to x @ E_ij - E_ij @ x.
+    bit-identical to x @ E_ij - E_ij @ x.  An entry past the float range is
+    inf, as the products give it, without a warning.
     """
     x = _as_operator(alg, x)
     ui, uj = alg.unit_index()
     rows = np.arange(len(ui))
     out = np.zeros((len(ui), alg.n, alg.n), dtype=complex)
     out[rows, :, uj] = x[:, ui].T
-    out[rows, ui, :] -= x[uj, :]
+    with np.errstate(over="ignore"):
+        out[rows, ui, :] -= x[uj, :]
     return out
 
 
@@ -363,38 +365,13 @@ def validate(table: DerivationTable) -> ValidationReport:
     )
 
 
-def _combine(coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """sum over u of coeffs[:, u] * values[u]: one n x n sum per row of coeffs.
-
-    The terms are added onto zeros one unit at a time, in the order of values,
-    each to the rows where its coefficient is nonzero, and a unit whose
-    coefficients are all zero is skipped.  A zero coefficient would add a
-    signed zero, which leaves a sum begun at +0.0 as it is, so every row gets
-    the same bits as that row's sum taken alone.
-    """
-    out = np.zeros((len(coeffs), *values.shape[1:]), dtype=complex)
-    if not len(coeffs):
-        return out
-    nonzero = coeffs != 0
-    counts = nonzero.sum(axis=0)
-    live = np.flatnonzero(counts)
-    for u, count, row in zip(live.tolist(), counts[live].tolist(), nonzero.argmax(axis=0)[live].tolist()):
-        column = coeffs[:, u]
-        if count == 1:
-            # scalar coefficient: numpy multiplies two one-element complex arrays (n = 1) by a loop that rounds differently
-            out[row] += column[row] * values[u]
-        else:
-            rows = np.flatnonzero(column)
-            out[rows] += column[rows, None, None] * values[u]
-    return out
-
-
 def _image(coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """sum over u of coeffs[u] * values[u] for one row of coefficients, with _combine's bits.
+    """sum over u of coeffs[u] * values[u]: the one kernel that sums table values.
 
-    Each chunk of terms goes to one np.add.reduce with the running sum as its
-    first row, the first chunk's being zeros, so the terms are still added onto
-    zeros one unit at a time in the order of values.
+    Each chunk of terms, coefficient times value, goes to one np.add.reduce
+    with the running sum as its first row, the first chunk's being zeros, so
+    the terms are added onto zeros one unit at a time in the order of values.
+    A zero coefficient adds a signed zero, which leaves such a sum as it is.
     """
     n = values.shape[1]
     step = max(1, _IMAGE_BYTES // (16 * n * n))
@@ -409,7 +386,7 @@ def _image(coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def evaluate(table: DerivationTable, a) -> np.ndarray:
-    """delta(a) = sum over admissible units of a_ij * delta(E_ij), in basis order, units with a_ij = 0 skipped.
+    """delta(a) = sum over admissible units of a_ij * delta(E_ij), by _image over the units with a_ij != 0, in basis order.
 
     a must lie in the algebra (within the table tolerance).  An a with a nonzero entry below the pattern and a
     non-finite entry anywhere raises EvaluationDomainError at any tolerance.
@@ -424,21 +401,20 @@ def evaluate(table: DerivationTable, a) -> np.ndarray:
     if np.any(below) and not (np.all(np.isfinite(a)) and alg.contains(a, tol=table.tol * max(1.0, op_norm(a)))):
         raise EvaluationDomainError("derivation undefined outside S")
     ui, uj = alg.unit_index()
-    return _combine(a[None, ui, uj], table.stacked())[0]
+    coeffs = a[ui, uj]
+    live = np.flatnonzero(coeffs)
+    return _image(coeffs[live], table.stacked()[live])
 
 
 def rank_one_images(table: DerivationTable, etas, xis) -> np.ndarray:
     """delta(eta_m xi_m^H) for every row m of etas and xis, as one (rows, n, n) array.
 
     Row m is bit-identical to evaluate(table, rank_one(xis[m], etas[m])).  The
-    coefficients eta_i conj(xi_j) are formed as np.outer forms them, and one
-    _combine adds the terms of every unit, in basis order, onto zeros; a unit
-    whose coefficient is zero in every row adds nothing.  A unit whose
-    coefficient is zero in row m only adds a signed zero there, which leaves
-    that row's sum as it is.  An element
-    with an entry below the pattern above tol * max(1, |eta_m| |xi_m|), its
-    operator norm being |eta_m| |xi_m|, or with a NaN one, raises
-    EvaluationDomainError.
+    coefficients eta_i conj(xi_j) are formed as np.outer forms them, and each
+    row is one _image call on the units whose coefficient in that row is
+    nonzero, as evaluate makes it.  An element with an entry below the
+    pattern above tol * max(1, |eta_m| |xi_m|), its operator norm being
+    |eta_m| |xi_m|, or with a NaN one, raises EvaluationDomainError.
     """
     alg = table.alg
     etas, xis = _as_matrix(etas), _as_matrix(xis)
@@ -452,7 +428,12 @@ def rank_one_images(table: DerivationTable, etas, xis) -> np.ndarray:
         if not np.all(below.max(axis=1) <= bound):
             raise EvaluationDomainError("derivation undefined outside S")
     ui, uj = alg.unit_index()
-    return _combine(outer[:, ui, uj], table.stacked())
+    values = table.stacked()
+    images = np.zeros((len(etas), alg.n, alg.n), dtype=complex)
+    for m, coeffs in enumerate(outer[:, ui, uj]):
+        live = np.flatnonzero(coeffs)
+        images[m] = _image(coeffs[live], values[live])
+    return images
 
 
 def _dual_bound(a, x) -> float:

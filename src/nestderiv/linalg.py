@@ -99,7 +99,8 @@ def _max_op_norm(stack, threshold: float = math.inf) -> tuple:
     decide nothing when an entry past about 1e154 squares to inf, a NaN makes floor
     NaN, or floor or threshold lies below _EXACT_POWER, where squares of the
     entries that matter could underflow: then every entry that is not exactly
-    zero is normed, as an unpruned norm would, and a NaN entry raises
+    zero is normed, as an unpruned norm would, but an entry with an infinite
+    part gets the norm inf without an SVD, and a NaN entry raises
     np.linalg.LinAlgError as it does there.  The squares only prune, so such
     a stack costs SVDs, never a wrong result, and is not scaled by
     _exact_scale as closed-form sums are: that would add a reduction per call.
@@ -117,7 +118,9 @@ def _max_op_norm(stack, threshold: float = math.inf) -> tuple:
     if math.isfinite(floor) and bound >= _EXACT_POWER:
         normed = np.flatnonzero(frobenius * (1 + 1e-10) > bound)
     else:
-        normed = np.flatnonzero(stack.reshape(len(stack), -1).any(axis=1))
+        infinite = np.isinf(stack).any(axis=(1, 2))
+        norms[infinite] = math.inf
+        normed = np.flatnonzero(stack.reshape(len(stack), -1).any(axis=1) & ~infinite)
     if len(normed):
         # the singular values whose maximum is np.linalg.norm(stack, 2, axis=(1, 2))
         norms[normed] = np.linalg.svd(stack[normed], compute_uv=False).max(axis=1)
@@ -133,14 +136,26 @@ def scalar_identity_part(a):
     a complex and a float for one matrix, two arrays of length m for a stack.
     Scalar-ness is the caller's call via residual <= tol.  lam need not
     minimize op_norm(a - lam*I); derivation.distance_to_scalars finds that
-    minimum.
+    minimum.  A matrix whose trace or a - lam*I overflows is divided by
+    _exact_scale's power of two and the results multiplied back, so its
+    residual may be inf, and a stack that holds one is split matrix by matrix.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
+    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1] or a.shape[-1] == 0:
         raise DimensionError(f"scalar_identity_part requires a square matrix or a stack of them, got shape {a.shape}")
     n = a.shape[-1]
-    lam = np.trace(a, axis1=-2, axis2=-1) / n
-    residual = np.linalg.svd(a - lam[..., None, None] * np.eye(n), compute_uv=False).max(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = np.trace(a, axis1=-2, axis2=-1) / n
+        shifted = a - lam[..., None, None] * np.eye(n)
+    if not np.isfinite(shifted).all():
+        if a.ndim == 3:
+            lam, residual = zip(*map(scalar_identity_part, a))
+            return np.array(lam), np.array(residual)
+        scale = _exact_scale(np.abs(a))
+        if scale != 1.0:
+            lam, residual = scalar_identity_part(a / scale)
+            return lam * scale, residual * scale
+    residual = np.linalg.svd(shifted, compute_uv=False).max(axis=-1)
     if a.ndim == 2:
         return complex(lam), float(residual)
     return lam, residual

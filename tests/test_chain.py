@@ -136,7 +136,7 @@ def test_members_are_read_from_the_table_without_the_kernel(rng, monkeypatch):
     for module in (construct, derivation):
         monkeypatch.setattr(module, "rank_one_images", refuse)
         monkeypatch.setattr(module, "evaluate", refuse)
-    monkeypatch.setattr(derivation, "_combine", refuse)
+    monkeypatch.setattr(derivation, "_image", refuse)
     monkeypatch.setattr(ConstructionChoices, "validate", refuse)
     assert [m.b.tobytes() for m in chain_family(table).members] == expected
 

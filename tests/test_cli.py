@@ -2,6 +2,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import time
 import warnings
 
@@ -355,6 +357,40 @@ def test_verify_rejects_a_b_whose_squared_entries_overflow(tmp_path, capsys):
     assert report["residual_full"] == max(exact) > 1e199
     assert report["residual_pSp"] > 1e199 and report["residual_corner"] > 1e199
     assert capsys.readouterr().err.startswith("verification failed: thm11 residual_pSp ")
+
+
+def run_cli(*argv):
+    """The CLI in a child process, so that what LAPACK prints and any traceback land in its captured output."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "nestderiv.cli", *argv], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_verify_reports_an_overflowing_residual_as_infinity(tmp_path):
+    # the commutators of b with the units hold -2e308 and 2e308, past the float range
+    table_path, b_path, out = tmp_path / "table.json", tmp_path / "b.json", tmp_path / "v.json"
+    main(["generate", "--n", "4", "--seed", "1", "--out", str(table_path)])
+    b_path.write_text(json.dumps(matrix_to_json(np.diag([-1e308, 1e308, -1e308, 1e308]))))
+    proc = run_cli("verify", "--input", str(table_path), "--b", str(b_path), "--out", str(out))
+    assert proc.returncode == EXIT_VALIDATION
+    assert proc.stdout == f"wrote {out}\n"
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("verification failed: thm11 residual_pSp inf > tol ")
+    text = out.read_text()
+    assert '"residual_pSp": Infinity' in text and "NaN" not in text
+
+
+@pytest.mark.parametrize("command", ["construct", "chain"])
+def test_a_generator_whose_trace_overflows_gets_an_infinite_gauge_residual(tmp_path, command):
+    # b - c is -c to rounding; the gauge is reported, not gated, so the exit code is 0 and nothing goes to stderr
+    table_path, generator, out = tmp_path / "table.json", tmp_path / "c.json", tmp_path / "r.json"
+    main(["generate", "--n", "4", "--seed", "1", "--out", str(table_path)])
+    generator.write_text(json.dumps({"rows": 4, "cols": 4, "data": [[1e308, -1e308]] * 16}))
+    proc = run_cli(command, "--input", str(table_path), "--generator", str(generator), "--out", str(out))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, f"wrote {out}\n", "")
+    report = read(out)
+    gauge = report["gauge"] if command == "construct" else report["stabilized"]["gauge_on_p"]
+    assert gauge == {"lambda": [-1e308, 1e308], "residual": math.inf}
 
 
 @pytest.mark.parametrize("gate_thm13", [False, True])

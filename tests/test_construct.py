@@ -463,10 +463,21 @@ class TestDefaultChoices:
         with pytest.raises(ValueError):
             default_choices(NestAlgebra(3, (3,)))
 
-    @pytest.mark.parametrize("k", [0, 3, 99, -1])
+    # a float equal to an interior index, or a string, is not an index either
+    @pytest.mark.parametrize("k", [0, 3, 99, -1, 1.0, np.float64(2.0), "2"])
     def test_non_interior_k_rejected(self, k):
+        alg = NestAlgebra.triangular(3)
         with pytest.raises(ValueError, match="not an interior chain index"):
-            default_choices(NestAlgebra.triangular(3), k)
+            default_choices(alg, k)
+        with pytest.raises(ValueError, match="not an interior chain index"):
+            build_b(zero_table(alg), ConstructionChoices(k=k, xi0=basis_vec(3, 2), eta1=basis_vec(3, 0)))
+
+    def test_integer_k_of_any_type_accepted(self):
+        alg = NestAlgebra.triangular(3)
+        table = inner_from(alg, np.arange(9.0).reshape(3, 3))
+        for k in (np.int64(2), np.int32(2)):
+            choices = default_choices(alg, k)
+            assert choices.k == 2 and build_b(table, choices).b.tobytes() == build_b(table, default_choices(alg, 2)).b.tobytes()
 
 
 class TestTwoProjection:

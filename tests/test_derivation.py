@@ -465,6 +465,43 @@ class TestEvaluate:
         for m in range(rows):
             assert images[m].tobytes() == evaluate(table, np.outer(etas[m], xis[m].conj())).tobytes()
 
+    @given(norm_tables(), st.integers(min_value=0, max_value=2**32 - 1), st.lists(st.sampled_from(["dense", "one", "zero"]), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    @example(table=DerivationTable(NestAlgebra.triangular(1), {(0, 0): [[0.3 + 0.7j]]}), seed=0, kinds=["one", "zero", "dense"])
+    def test_evaluate_and_rank_one_images_have_the_bits_of_the_per_unit_loop(self, table, seed, kinds):
+        """Both against oracle_evaluate, byte for byte: rows with one live unit, all-zero rows and -0.0 entries, n = 1-10."""
+        alg = table.alg
+        n = alg.n
+        rng = np.random.default_rng(seed)
+        values = table.stacked().copy()
+        values[rng.random(values.shape) < 0.3] = complex(-0.0, -0.0)
+        for u, value in zip(alg.basis_units(), values):
+            table.values[u] = value
+        mask = alg.pattern_mask()
+        etas, xis = random_complex(rng, (len(kinds), n)), random_complex(rng, (len(kinds), n))
+        for m, kind in enumerate(kinds):
+            # the rows 0..r share row r's admissible columns, so eta there and xi in them give an element of the algebra
+            r = rng.integers(n)
+            if kind == "one":
+                etas[m] = np.where(np.arange(n) == r, etas[m], 0.0)
+                xis[m] = np.where(np.arange(n) == rng.choice(np.flatnonzero(mask[r])), xis[m], 0.0)
+            elif kind == "zero":
+                etas[m] = 0.0
+            else:
+                etas[m, r + 1 :] = 0.0
+                xis[m, ~mask[r]] = 0.0
+        # zeros of either sign in both factors
+        etas[etas == 0] = complex(-0.0, -0.0)
+        xis[(xis == 0) & (rng.random(xis.shape) < 0.5)] = complex(-0.0, 0.0)
+        images = rank_one_images(table, etas, xis)
+        for m in range(len(kinds)):
+            a = np.outer(etas[m], xis[m].conj())
+            expected = oracle_evaluate(table, a).tobytes()
+            assert images[m].tobytes() == expected
+            assert evaluate(table, a).tobytes() == expected
+            if kinds[m] == "zero":
+                assert expected == bytes(16 * n * n)
+
     def test_rank_one_images_rejects_nan_below_the_pattern(self, rng):
         # a NaN entry below the pattern is not within any bound
         alg = NestAlgebra.triangular(3)
@@ -847,22 +884,25 @@ def test_image_has_the_bits_of_the_per_unit_sum(table, seed, chunk_units):
     rng = np.random.default_rng(seed)
     a = random_complex(rng, (alg.n, alg.n))
     a[rng.random((alg.n, alg.n)) < 0.3] = 0.0
+    a[~alg.pattern_mask()] = 0.0
     ui, uj = alg.unit_index()
-    values = table.stacked()
     try:
-        got = derivation._image(a[ui, uj], values)
+        # every unit, zero coefficients included: each adds a signed zero, which leaves the sum as it is
+        got = derivation._image(a[ui, uj], table.stacked())
     finally:
         if chunk_units is not None:
             derivation._IMAGE_BYTES = saved
-    assert got.tobytes() == derivation._combine(a[None, ui, uj], values)[0].tobytes()
+    assert got.tobytes() == oracle_evaluate(table, a).tobytes()
 
 
 def test_image_sums_onto_positive_zeros():
     # -1 * (0 + 0j) has real part -0.0; added onto +0.0, as the per-unit sum does, it gives +0.0
-    coeffs, values = np.array([-1.0 + 0j, -2.0 + 0j]), np.zeros((2, 1, 1), dtype=complex)
-    got = derivation._image(coeffs, values)
-    assert got.tobytes() == derivation._combine(coeffs[None], values)[0].tobytes()
-    assert math.copysign(1.0, got[0, 0].real) == 1.0
+    table = zero_table(NestAlgebra.triangular(2))
+    a = np.array([[-1.0, -2.0], [0.0, -1.0]], dtype=complex)
+    ui, uj = table.alg.unit_index()
+    got = derivation._image(a[ui, uj], table.stacked())
+    assert got.tobytes() == oracle_evaluate(table, a).tobytes()
+    assert all(math.copysign(1.0, x) == 1.0 for x in got.view(float).ravel())
 
 
 def test_json_roundtrip(rng):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -110,10 +111,27 @@ class TestScalarIdentityPart:
         assert lams.tobytes() == np.array([lam for lam, _ in single]).tobytes()
         assert residuals.tobytes() == np.array([residual for _, residual in single]).tobytes()
 
-    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 3), (1, 2, 2, 2)])
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 3), (1, 2, 2, 2), (0, 0), (2, 0, 0)])
     def test_not_square_or_a_stack_of_squares(self, shape):
         with pytest.raises(DimensionError):
             scalar_identity_part(np.zeros(shape))
+
+    def test_overflowing_trace_is_taken_of_the_scaled_matrix(self):
+        # the trace of 4e308 overflows; divided by 2^1023 it is exact, and so is the scalar part multiplied back
+        assert scalar_identity_part(1e308 * np.eye(4)) == (1e308, 0.0)
+        lam, residual = scalar_identity_part(np.full((4, 4), 1e308 - 1e308j))
+        assert lam == 1e308 - 1e308j and residual == math.inf
+        # 2^1023 times a matrix whose trace is 4.5: the scalar part and residual of that matrix, multiplied back
+        a = np.array([[1.5, 1, 0], [0, 1.5, 1j], [1, 0, 1.5]])
+        lam, residual = scalar_identity_part(2.0**1023 * a)
+        assert (lam, residual) == (2.0**1023 * 1.5, 2.0**1023 * scalar_identity_part(a)[1])
+        # a stack that holds such a matrix is split: every matrix gets the bits it gets alone
+        stack = np.stack([a, 1e308 * np.eye(3), np.full((3, 3), 1e308 - 1e308j)])
+        lams, residuals = scalar_identity_part(stack)
+        single = [scalar_identity_part(m) for m in stack]
+        assert lams.tobytes() == np.array([lam for lam, _ in single]).tobytes()
+        assert residuals.tobytes() == np.array([residual for _, residual in single]).tobytes()
+        assert residuals[1:].tolist() == [0.0, math.inf]
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
@@ -195,6 +213,15 @@ def test_max_op_norm_matches_the_unpruned_norms(stack, where):
     assert not np.any(norms[unnormed])
     assert np.all((exact[unnormed] < threshold) & ((exact[unnormed] < best) | (exact[unnormed] == 0)))
     assert np.array_equal(norms > threshold, exact > threshold)
+
+
+def test_max_op_norm_gives_an_infinite_entry_the_norm_inf(svd_batches):
+    # an SVD of an infinite entry gives NaN, and LAPACK prints a DLASCL error for it
+    stack = np.stack([np.eye(3), np.diag([1.0, -np.inf, 0.0]), 2.0 * np.eye(3), np.full((3, 3), complex(0.0, np.inf))])
+    best, index, norms = _max_op_norm(stack)
+    assert (best, index) == (math.inf, 1)
+    assert norms.tolist() == [1.0, math.inf, 2.0, math.inf]
+    assert svd_batches == [2]
 
 
 def test_max_op_norm_norms_only_what_can_reach_the_floor_or_threshold(svd_batches):

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -154,6 +155,23 @@ def test_ab_summary_counts_wins_and_checks_the_gain_and_the_bound():
     assert ab.summarize([], METRICS) == []
 
 
+def test_ab_summary_calls_a_metric_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    # parent pass_s median 0.4 with quartiles 0.3 and 0.5: an IQR of 50% of the median, against a bound of 25%
+    parent = [0.2, 0.3, 0.3, 0.3, 0.4, 0.4, 0.5, 0.5, 0.5, 0.6]
+
+    def verdict(change):
+        pairs = [({"pass_s": p, "ok_frac": 1.0}, {"pass_s": c, "ok_frac": 1.0}) for p, c in zip(parent, change)]
+        return ab.summarize(pairs, METRICS)[0].split("bound: ")[1]
+
+    assert verdict([0.9 * p for p in parent]) == "unresolved, the parent's IQR is wider"
+    # every run of the change better than every run of the parent resolves it; a median past the bound is worse
+    assert verdict([0.1 + 0.001 * i for i in range(10)]) == "no"
+    assert verdict([1.3 * p for p in parent]) == "yes"
+    # ok_frac's spread is 0, so its verdict stands
+    pairs = [({"pass_s": p, "ok_frac": 1.0}, {"pass_s": p, "ok_frac": 1.0}) for p in parent]
+    assert ab.summarize(pairs, METRICS)[1].endswith("worse than the 1% bound: no")
+
+
 def test_ab_alternates_the_first_side_and_exits_1_on_a_failed_run(tmp_path, monkeypatch, capsys):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"command": ["true"], "run_seconds": 30, "end_to_end": METRICS}))
     calls = []
@@ -191,3 +209,11 @@ def test_ab_run_reads_the_last_line_and_rejects_incorrect_or_failed_runs(tmp_pat
     assert ab.run(tmp_path, command(True, 1), "lib-sweep", 1, 0.1) is None
     assert ab.run(tmp_path, [sys.executable, "-c", "print('no json')"], "lib-sweep", 1, 0.1) is None
     assert capsys.readouterr().err.count(f"{tmp_path}: exit") == 3
+
+
+def test_ab_run_records_a_timeout_as_a_failed_run(tmp_path, monkeypatch, capsys):
+    # the stub sleeps past a timeout cut to half a second; the run fails, and no traceback escapes
+    run = subprocess.run
+    monkeypatch.setattr(ab.subprocess, "run", lambda *args, **kwargs: run(*args, **{**kwargs, "timeout": 0.5}))
+    assert ab.run(tmp_path, [sys.executable, "-c", "import time; time.sleep(10)"], "lib-sweep", 1, 0.1) is None
+    assert capsys.readouterr().err == f"{tmp_path}: timed out after 0.5 s\n"

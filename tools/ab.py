@@ -10,8 +10,11 @@ quartiles and the change's wins (a tie counts for neither side).  A gain is
 shown when the change wins at least nine pairs in ten and its median is better
 by more than the parent's interquartile range.  The change is worse than the
 bound when its median is worse than the parent's by more than the metric's
-``bound``, a share of the parent's median.  Exits 1 if any run fails or reports
-incorrect outputs.
+``bound``, a share of the parent's median.  When it is not, but the parent's
+interquartile range is wider than that share, the runs cannot tell: the line
+says ``unresolved``, unless every run of the change is better than every run
+of the parent.  Exits 1 if any run fails, times out or reports incorrect
+outputs.
 """
 
 import argparse
@@ -25,7 +28,11 @@ from pathlib import Path
 def run(checkout, command, workload, seed, seconds) -> dict | None:
     """{metric: value} of one benchmark run in checkout, or None if it failed or its outputs were incorrect."""
     args = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-    proc = subprocess.run(args, cwd=checkout, capture_output=True, text=True, timeout=600 + 10 * seconds)
+    try:
+        proc = subprocess.run(args, cwd=checkout, capture_output=True, text=True, timeout=600 + 10 * seconds)
+    except subprocess.TimeoutExpired as exc:
+        print(f"{checkout}: timed out after {exc.timeout:g} s", file=sys.stderr)
+        return None
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1]) if lines else {}
@@ -57,10 +64,13 @@ def summarize(pairs, metrics) -> list:
         gain = pm - cm if lower else cm - pm
         shown = 10 * wins >= 9 * len(pairs) and gain > p3 - p1
         worse = -gain > metric["bound"] * abs(pm)
+        beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+        unresolved = p3 - p1 > metric["bound"] * abs(pm) and not beats_all
+        verdict = "yes" if worse else "unresolved, the parent's IQR is wider" if unresolved else "no"
         lines.append(
             f"{name} ({metric['unit']}, {metric['better']} is better): parent {pm:.6g} [{p1:.6g}, {p3:.6g}], "
             f"change {cm:.6g} [{c1:.6g}, {c3:.6g}], change wins {wins} of {len(pairs)}; "
-            f"gain shown: {'yes' if shown else 'no'}; worse than the {metric['bound']:.0%} bound: {'yes' if worse else 'no'}"
+            f"gain shown: {'yes' if shown else 'no'}; worse than the {metric['bound']:.0%} bound: {verdict}"
         )
     return lines
 
