@@ -40,7 +40,7 @@ from .construct import (
     verify,
 )
 from .derivation import DerivationTable, check_tol, inner_from, validate
-from .linalg import basis_vector, matrix_from_json, matrix_to_json, op_norm, scalar_identity_part
+from .linalg import _difference_scalar_part, basis_vector, matrix_from_json, matrix_to_json, op_norm
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -345,7 +345,8 @@ def cmd_chain(args) -> int:
         out["note"] = "single interior projection: consistency pairs are vacuous"
     if args.generator:
         c = _load_matrix(args.generator, table.alg.n, "generator")
-        lam, residual = scalar_identity_part((b_top - c)[: table.alg.chain[top_k - 1], :][:, : table.alg.chain[top_k - 1]])
+        d = table.alg.chain[top_k - 1]
+        lam, residual = _difference_scalar_part(b_top[:d, :d], c[:d, :d])
         out["stabilized"]["gauge_on_p"] = {"lambda": [lam.real, lam.imag], "residual": residual}
     _write_json(args.out, out)
     print(f"wrote {args.out}")

@@ -23,7 +23,7 @@ from .derivation import (
     rank_one_images,
     unit_defects,
 )
-from .linalg import _as_matrix, _as_vector, _max_op_norm, basis_vector, matrix_to_json, scalar_identity_part
+from .linalg import _as_matrix, _as_vector, _difference_scalar_part, _max_op_norm, basis_vector, matrix_to_json
 
 
 @dataclass(frozen=True)
@@ -177,19 +177,19 @@ def _c1(table: DerivationTable, d: int) -> np.ndarray:
 
 
 def _corner(table: DerivationTable, choices: ConstructionChoices) -> dict:
-    """The corner kernel {"d", "b1", "c2", "rows", "s"} from one rank_one_images call over the corner's rank-one elements.
+    """The corner kernel {"d", "b1", "c2", "rule"} from one rank_one_images call over the corner's rank-one elements.
 
     b1 has delta(e_i xi0^H) xi0 in column i < d.  With q_a = eta1 e_a^H for e_a
     over the standard basis of p-perp and q1 = eta1 xi0^H, rows[a - d] is
     eta1^H delta(q_a), s = eta1^H delta(q1) xi0, and the row block of c2 at e_a
     is -q_a* delta(q_a) p-perp + q_a* delta(q1) q1* q_a
-    = e_a (x) (-rows[a - d] p-perp + s e_a^H).
+    = e_a (x) (-rows[a - d] p-perp + s e_a^H).  rule is triple_rule_residual's
+    (max_residual, unit), from b1, rows and s.
 
     The choices are checked on every call.  The kernel is kept in the table's
     values (TableValues._derived), keyed by k and the bytes of xi0 and eta1,
-    until a value is written or a call with other choices replaces it, and
-    _rule adds the triple rule to it.  Its arrays are read-only, so callers
-    that hand one out copy it.
+    until a value is written or a call with other choices replaces it.  Its
+    arrays are read-only, so callers that hand one out copy it.
     """
     d = choices.validate(table.alg)
     xi0, eta1 = _as_vector(choices.xi0), _as_vector(choices.eta1)
@@ -214,9 +214,19 @@ def _corner(table: DerivationTable, choices: ConstructionChoices) -> dict:
     c2_rows += s * basis
     # added onto zeros, so an entry the product leaves at -0.0 is 0.0, as in a sum of per-vector blocks
     c2 = np.zeros((n, n), dtype=complex) + basis.T @ c2_rows
-    for array in (b1, c2, rows):
+
+    # the triple rule's right sides on the pairs (a, i), a over p-perp outermost
+    pa, pi = np.repeat(np.arange(d, n), d), np.tile(np.arange(d), n - d)
+    pairs = np.arange(len(pa))
+    rhs = np.zeros((len(pa), n, n), dtype=complex)
+    rhs[pairs, :, pa] = b1[:, pi].T
+    rhs[pairs, pi, :] += rows[pa - d]
+    rhs[pairs, pi, pa] -= s
+    worst, index, _ = _max_op_norm(np.subtract(table.stacked()[table.alg.unit_rows()[pi, pa]], rhs, out=rhs))
+
+    for array in (b1, c2):
         array.setflags(write=False)
-    corner = {"key": key, "d": d, "b1": b1, "c2": c2, "rows": rows, "s": s}
+    corner = {"key": key, "d": d, "b1": b1, "c2": c2, "rule": (worst, (int(pi[index]), int(pa[index])))}
     table.values._derived["corner"] = corner
     return corner
 
@@ -255,30 +265,13 @@ def triple_rule_residual(table: DerivationTable, choices: ConstructionChoices) -
     delta(q) = delta(q q_a* q1) q1* q_a + q q_a* delta(q_a) - q q_a* delta(q1) q1* q_a.
     With q = E_ia, q q_a* q1 = e_i xi0^H, so the right side is column i of b1
     (delta(e_i xi0^H) xi0) in column a, plus rows[a - d] = eta1^H delta(q_a)
-    in row i, minus s = eta1^H delta(q1) xi0 at (i, a), all from _corner.  It
-    is written onto zeros in that order, and the maximum is taken by
-    _max_op_norm.  Every argument of delta lies in the algebra, and if not,
-    the construction itself is broken and an error propagates.
+    in row i, minus s = eta1^H delta(q1) xi0 at (i, a), all from the images
+    _corner takes.  It is written onto zeros in that order, and the maximum is
+    taken by _max_op_norm, in _corner.  Every argument of delta lies in the
+    algebra, and if not, the construction itself is broken and an error
+    propagates.
     """
-    return _rule(table, _corner(table, choices))
-
-
-def _rule(table: DerivationTable, corner: dict) -> RuleResidual:
-    """triple_rule_residual from a _corner kernel, computed on the first call and kept in the kernel."""
-    if "rule" not in corner:
-        alg = table.alg
-        n, d, b1, rows = alg.n, corner["d"], corner["b1"], corner["rows"]
-        # pairs (a, i), a over p-perp outermost
-        pa, pi = np.repeat(np.arange(d, n), d), np.tile(np.arange(d), n - d)
-        pairs = np.arange(len(pa))
-        rhs = np.zeros((len(pa), n, n), dtype=complex)
-        rhs[pairs, :, pa] = b1[:, pi].T
-        rhs[pairs, pi, :] += rows[pa - d]
-        rhs[pairs, pi, pa] -= corner["s"]
-        units = table.stacked()[alg.unit_rows()[pi, pa]]
-        worst, index, _ = _max_op_norm(np.subtract(units, rhs, out=rhs))
-        corner["rule"] = (worst, (int(pi[index]), int(pa[index])))
-    return RuleResidual(*corner["rule"])
+    return RuleResidual(*_corner(table, choices)["rule"])
 
 
 def verify(
@@ -316,7 +309,7 @@ def verify(
     if tol is None:
         tol = table.tol * table.value_scale
 
-    rule = _rule(table, corner)
+    rule_max, rule_unit = corner["rule"]
     d = corner["d"]
     ui, uj = alg.unit_index()
     # pSp, the corner and p S p-perp: every unit, each in one part
@@ -344,14 +337,14 @@ def verify(
 
     gauge = None
     if generator is not None:
-        gauge = scalar_identity_part(artifacts.b - generator)
+        gauge = _difference_scalar_part(artifacts.b, generator)
 
     units = alg.basis_units()
     return VerificationReport(
         residual_pSp=residual_pSp,
         residual_corner=residual_corner,
         residual_full=residual_full,
-        rule_max=rule.max_residual,
+        rule_max=rule_max,
         norms=norm_data,
         gauge=gauge,
         tol=tol,
@@ -359,7 +352,7 @@ def verify(
             "residual_pSp": tuple(units[at_pSp]),
             "residual_corner": tuple(units[at_corner]),
             "residual_full": tuple(units[at_full]),
-            "rule_max": rule.unit,
+            "rule_max": rule_unit,
         },
     )
 

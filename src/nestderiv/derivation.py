@@ -185,9 +185,9 @@ class DerivationTable:
 
         n, the chain entries, the unit indices, tol and every matrix dimension
         and entry part must be JSON numbers: a bool or a string is rejected,
-        not read as 1, 0 or the number it spells.  Each value is read into
-        its row of the table's array, found through alg.unit_rows(), and
-        checked there once: a basis unit, not seen before, n x n and finite.
+        not read as 1, 0 or the number it spells.  Each value is written
+        through TableValues, which checks it there once: a basis unit, n x n
+        and finite.  An entry for a unit seen before is rejected here.
         """
         try:
             n, chain = obj["algebra"]["n"], obj["algebra"]["chain"]
@@ -196,27 +196,20 @@ class DerivationTable:
             # counted before any n x n array is built, so a small file that declares a large algebra fails at once
             if len(entries) != alg.unit_count:
                 raise ValueError(f"{len(entries)} entries, expected one for each of the {alg.unit_count} basis units")
-            values, rows = TableValues(alg), alg.unit_rows()
-            seen = np.zeros(len(values), dtype=bool)
+            values, seen = TableValues(alg), set()
             for e in entries:
                 key = (int(_json_number(e["i"], "a unit index")), int(_json_number(e["j"], "a unit index")))
                 if key != (e["i"], e["j"]):
                     raise ValueError(f"non-integer unit index ({e['i']!r}, {e['j']!r})")
-                # every entry has a row, and there are as many entries as rows, so no unit is missing
-                row = int(rows[key]) if 0 <= key[0] < alg.n and 0 <= key[1] < alg.n else -1
-                if row < 0:
-                    raise ValueError(f"unit {key} is not a basis unit of chain {alg.chain}")
-                if seen[row]:
+                # every entry is a distinct basis unit, and there are as many entries as units, so no unit is missing
+                if key in seen:
                     raise ValueError(f"duplicate entry for unit {key}")
-                seen[row] = True
-                value = matrix_from_json(e["value"])
-                if value.shape != (alg.n, alg.n):
-                    raise DimensionError(f"value for {key} has shape {value.shape}, expected {(alg.n, alg.n)}")
-                values._array[row] = value
+                seen.add(key)
+                values[key] = matrix_from_json(e["value"])
             tol = check_tol(float(_json_number(obj.get("tol", 1e-9), "tol")))
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed table: {exc}") from exc
-        # the values are checked above, so the constructor's per-unit checks and copy are skipped
+        # the values are checked above, so the constructor's second table array is not built
         table = cls.__new__(cls)
         table.alg, table.values, table.tol = alg, values, tol
         return table
@@ -368,25 +361,31 @@ def validate(table: DerivationTable) -> ValidationReport:
 def _image(coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
     """sum over u of coeffs[u] * values[u]: the one kernel that sums table values.
 
-    Each chunk of terms, coefficient times value, goes to one np.add.reduce
-    with the running sum as its first row, the first chunk's being zeros, so
-    the terms are added onto zeros one unit at a time in the order of values.
-    A zero coefficient adds a signed zero, which leaves such a sum as it is.
+    The units with a nonzero coefficient are taken a chunk at a time: a run of
+    consecutive units is read as a slice of values, any other chunk gathered.
+    Each chunk's terms, coefficient times value, go to one np.add.reduce with
+    the running sum as its first row, the first chunk's being zeros, so the
+    terms are added onto zeros one unit at a time in the order of values.  A
+    zero coefficient would add a signed zero, which leaves such a sum as it
+    is, so skipping it keeps the bits.
     """
     n = values.shape[1]
     step = max(1, _IMAGE_BYTES // (16 * n * n))
+    live = np.flatnonzero(coeffs)
     total = np.zeros((n, n), dtype=complex)
-    for start in range(0, len(values), step):
-        stop = min(start + step, len(values))
-        terms = np.empty((stop - start + 1, n, n), dtype=complex)
+    for start in range(0, len(live), step):
+        units = live[start : start + step]
+        first, last = units[0], units[-1]
+        chunk = values[first : last + 1] if last - first == len(units) - 1 else values[units]
+        terms = np.empty((len(units) + 1, n, n), dtype=complex)
         terms[0] = total
-        np.multiply(coeffs[start:stop, None, None], values[start:stop], out=terms[1:])
+        np.multiply(coeffs[units, None, None], chunk, out=terms[1:])
         total = np.add.reduce(terms, axis=0)
     return total
 
 
 def evaluate(table: DerivationTable, a) -> np.ndarray:
-    """delta(a) = sum over admissible units of a_ij * delta(E_ij), by _image over the units with a_ij != 0, in basis order.
+    """delta(a) = sum over admissible units of a_ij * delta(E_ij), by _image in basis order.
 
     a must lie in the algebra (within the table tolerance).  An a with a nonzero entry below the pattern and a
     non-finite entry anywhere raises EvaluationDomainError at any tolerance.
@@ -401,38 +400,22 @@ def evaluate(table: DerivationTable, a) -> np.ndarray:
     if np.any(below) and not (np.all(np.isfinite(a)) and alg.contains(a, tol=table.tol * max(1.0, op_norm(a)))):
         raise EvaluationDomainError("derivation undefined outside S")
     ui, uj = alg.unit_index()
-    coeffs = a[ui, uj]
-    live = np.flatnonzero(coeffs)
-    return _image(coeffs[live], table.stacked()[live])
+    return _image(a[ui, uj], table.stacked())
 
 
 def rank_one_images(table: DerivationTable, etas, xis) -> np.ndarray:
     """delta(eta_m xi_m^H) for every row m of etas and xis, as one (rows, n, n) array.
 
-    Row m is bit-identical to evaluate(table, rank_one(xis[m], etas[m])).  The
-    coefficients eta_i conj(xi_j) are formed as np.outer forms them, and each
-    row is one _image call on the units whose coefficient in that row is
-    nonzero, as evaluate makes it.  An element with an entry below the
-    pattern above tol * max(1, |eta_m| |xi_m|), its operator norm being
-    |eta_m| |xi_m|, or with a NaN one, raises EvaluationDomainError.
+    Row m is evaluate(table, a_m) with a_m = eta_m xi_m^H formed as np.outer
+    forms it, so it has evaluate's bits and its domain rule.
     """
     alg = table.alg
     etas, xis = _as_matrix(etas), _as_matrix(xis)
     if etas.shape != xis.shape or etas.shape[1] != alg.n:
         raise DimensionError(f"etas and xis must both be (rows, {alg.n}), got {etas.shape} and {xis.shape}")
-    outer = etas[:, :, None] * xis.conj()[:, None, :]
-    below = np.abs(outer[:, ~alg.pattern_mask()])
-    if np.any(below):
-        bound = table.tol * np.maximum(1.0, np.linalg.norm(etas, axis=1) * np.linalg.norm(xis, axis=1))
-        # not <=, so that a NaN below the pattern fails too
-        if not np.all(below.max(axis=1) <= bound):
-            raise EvaluationDomainError("derivation undefined outside S")
-    ui, uj = alg.unit_index()
-    values = table.stacked()
-    images = np.zeros((len(etas), alg.n, alg.n), dtype=complex)
-    for m, coeffs in enumerate(outer[:, ui, uj]):
-        live = np.flatnonzero(coeffs)
-        images[m] = _image(coeffs[live], values[live])
+    images = np.empty((len(etas), alg.n, alg.n), dtype=complex)
+    for m, (eta, xi) in enumerate(zip(etas, xis)):
+        images[m] = evaluate(table, np.outer(eta, xi.conj()))
     return images
 
 

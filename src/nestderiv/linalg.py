@@ -161,6 +161,23 @@ def scalar_identity_part(a):
     return lam, residual
 
 
+def _difference_scalar_part(b, c):
+    """scalar_identity_part(b - c), taken of b and c divided by _exact_scale's power of two when b - c overflows.
+
+    A finite b - c is split as it is, to the bit.  Otherwise the parts of lam
+    and the residual of the scaled difference are multiplied back, so a
+    difference past the float range still gets its scalar part, and the
+    residual is inf only when it is past the range itself.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        difference = b - c
+    if np.isfinite(difference).all():
+        return scalar_identity_part(difference)
+    scale = _exact_scale(np.abs(np.stack([b, c])))
+    lam, residual = scalar_identity_part(b / scale - c / scale)
+    return complex(lam.real * scale, lam.imag * scale), residual * scale
+
+
 def matrix_to_json(a) -> dict:
     """Row-major JSON encoding {"rows", "cols", "data": [[re, im], ...]}."""
     a = np.ascontiguousarray(_as_matrix(a))

@@ -16,9 +16,9 @@ from nestderiv import cli
 from nestderiv.algebra import NestAlgebra
 from nestderiv.chain import ChainFamily, ChainMember
 from nestderiv.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, MAX_TABLE_BYTES, main
-from nestderiv.construct import build_b, default_choices
+from nestderiv.construct import ConstructionChoices, build_b, default_choices
 from nestderiv.derivation import DerivationTable, inner_from, validate
-from nestderiv.linalg import matrix_from_json, matrix_to_json
+from nestderiv.linalg import basis_vector, matrix_from_json, matrix_to_json
 
 from conftest import unit
 
@@ -380,6 +380,35 @@ def test_verify_reports_an_overflowing_residual_as_infinity(tmp_path):
     assert '"residual_pSp": Infinity' in text and "NaN" not in text
 
 
+def test_verify_gauge_of_a_difference_past_the_float_range(tmp_path):
+    # b - c = diag(2e308, 1, 1, 1) overflows, but its scalar part 5e307 and residual 1.5e308 are finite
+    table_path, b_path, generator, out = (tmp_path / name for name in ("table.json", "b.json", "c.json", "v.json"))
+    main(["generate", "--n", "4", "--seed", "1", "--out", str(table_path)])
+    b_path.write_text(json.dumps(matrix_to_json(np.diag([1e308, 1.0, 1.0, 1.0]))))
+    generator.write_text(json.dumps(matrix_to_json(np.diag([-1e308, 0.0, 0.0, 0.0]))))
+    proc = run_cli("verify", "--input", str(table_path), "--b", str(b_path), "--generator", str(generator), "--out", str(out))
+    assert (proc.returncode, proc.stdout) == (EXIT_VALIDATION, f"wrote {out}\n")
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("verification failed: ")
+    gauge = read(out)["gauge"]
+    assert gauge["lambda"] == [pytest.approx(5e307, rel=1e-15), 0.0]
+    assert gauge["residual"] == pytest.approx(1.5e308, rel=1e-15)
+
+
+def test_chain_gauge_on_p_of_a_difference_past_the_float_range(tmp_path):
+    # b_top is the generator C = diag(9e307, 0, 0, 0), so on p of rank 3 b_top - (-C) = diag(1.8e308, 0, 0) overflows,
+    # but its scalar part 6e307 and residual 1.2e308 are finite
+    table_path, generator, out = tmp_path / "table.json", tmp_path / "c.json", tmp_path / "chain.json"
+    c = np.diag([9e307, 0.0, 0.0, 0.0])
+    table_path.write_text(json.dumps(inner_from(NestAlgebra.triangular(4), c).to_json()))
+    generator.write_text(json.dumps(matrix_to_json(-c)))
+    proc = run_cli("chain", "--input", str(table_path), "--generator", str(generator), "--out", str(out))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, f"wrote {out}\n", "")
+    gauge = read(out)["stabilized"]["gauge_on_p"]
+    assert gauge["lambda"] == [pytest.approx(6e307, rel=1e-15), 0.0]
+    assert gauge["residual"] == pytest.approx(1.2e308, rel=1e-15)
+
+
 @pytest.mark.parametrize("command", ["construct", "chain"])
 def test_a_generator_whose_trace_overflows_gets_an_infinite_gauge_residual(tmp_path, command):
     # b - c is -c to rounding; the gauge is reported, not gated, so the exit code is 0 and nothing goes to stderr
@@ -484,24 +513,20 @@ def test_chain_rejects_irreducible_model(tmp_path):
 
 
 def test_construct_choice_flags(tmp_path):
-    table_path = tmp_path / "table.json"
+    # p at k = 2 has rank 2: the defaults are xi0 = e_2 and eta1 = e_0, and the flags pick e_4 and e_1
+    table_path, out = tmp_path / "table.json", tmp_path / "r.json"
     main(["generate", "--n", "5", "--seed", "4", "--out", str(table_path)])
-    code = main(
-        [
-            "construct",
-            "--input",
-            str(table_path),
-            "--k",
-            "2",
-            "--xi0-index",
-            "4",
-            "--eta1-index",
-            "1",
-            "--out",
-            str(tmp_path / "r.json"),
-        ]
-    )
-    assert code == EXIT_OK
+    argv = ["construct", "--input", str(table_path), "--k", "2", "--xi0-index", "4", "--eta1-index", "1"]
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    artifacts = read(out)["artifacts"]
+    choices = ConstructionChoices(k=2, xi0=basis_vector(5, 4), eta1=basis_vector(5, 1))
+    assert artifacts["k"] == 2
+    assert matrix_from_json(artifacts["xi0"]).tobytes() == choices.xi0.tobytes()
+    assert matrix_from_json(artifacts["eta1"]).tobytes() == choices.eta1.tobytes()
+    table = DerivationTable.from_json(read(table_path))
+    expected = build_b(table, choices).b
+    assert matrix_from_json(artifacts["b"]).tobytes() == expected.tobytes()
+    assert not np.array_equal(expected, build_b(table, default_choices(table.alg, 2)).b)
     # xi0 index inside p is a config error
     code = main(
         ["construct", "--input", str(table_path), "--k", "2", "--xi0-index", "0", "--out", str(tmp_path / "r2.json")]
@@ -515,10 +540,14 @@ def test_construct_choice_flags(tmp_path):
         ("generate", ["--n", "5", "--chain", "1,x,4"]),
         # p at k = 2 has rank 2, so eta1 = e_2 lies outside it
         ("construct", ["--k", "2", "--eta1-index", "2"]),
+        # e_5 is not a vector of C^5, and index -1 is not e_4
+        ("construct", ["--k", "2", "--xi0-index", "5"]),
+        ("construct", ["--k", "2", "--xi0-index", "-1"]),
+        ("construct", ["--k", "2", "--eta1-index", "5"]),
         # the last chain index is the identity, not an interior projection
         ("verify", ["--k", "5"]),
     ],
-    ids=["generate_chain_not_integers", "eta1_outside_p", "verify_last_index"],
+    ids=["generate_chain_not_integers", "eta1_outside_p", "xi0_past_n", "xi0_negative", "eta1_past_n", "verify_last_index"],
 )
 def test_bad_option_value_is_config_error(tmp_path, capsys, command, flags):
     table_path, zero = tmp_path / "table.json", tmp_path / "zero.json"
@@ -597,6 +626,8 @@ MALFORMED_TABLES = {
     "non_pair_data": _non_pair,
     "unit_out_of_range": _extra_entry(9, 9),
     "entry_below_pattern": _extra_entry(2, 0),
+    # the count is kept, so only the unit check finds it
+    "last_entry_below_pattern": lambda obj: obj["entries"][-1].update(i=2, j=0),
     "duplicate_entry": lambda obj: obj["entries"].append(obj["entries"][0]),
     "fractional_index": lambda obj: obj["entries"][1].update(j=obj["entries"][1]["j"] + 0.5),
     "fractional_value_shape": lambda obj: obj["entries"][0]["value"].update(rows=3.5),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nestderiv import construct
+from nestderiv import construct, derivation
 from nestderiv.algebra import NestAlgebra
 from nestderiv.construct import (
     ConstructionArtifacts,
@@ -126,15 +126,17 @@ class TestBuildB1:
     def test_invalid_choices_rejected(self):
         alg = NestAlgebra.triangular(3)
         table = zero_table(alg)
-        with pytest.raises(ValueError):
-            # xi0 not in p-perp
-            build_b1(table, ConstructionChoices(k=2, xi0=basis_vec(3, 0), eta1=basis_vec(3, 0)))
-        with pytest.raises(ValueError):
-            # k not interior
-            build_b1(table, ConstructionChoices(k=3, xi0=basis_vec(3, 2), eta1=basis_vec(3, 0)))
-        with pytest.raises(ValueError):
-            # non-unit vector
-            build_b1(table, ConstructionChoices(k=1, xi0=2 * basis_vec(3, 1), eta1=basis_vec(3, 0)))
+        # each check named by its message: without it, rank_one_images would raise a ValueError of its own
+        cases = {
+            "xi0 must lie in p-perp": ConstructionChoices(k=2, xi0=basis_vec(3, 0), eta1=basis_vec(3, 0)),
+            "eta1 must lie in p": ConstructionChoices(k=1, xi0=basis_vec(3, 2), eta1=basis_vec(3, 2)),
+            "not an interior chain index": ConstructionChoices(k=3, xi0=basis_vec(3, 2), eta1=basis_vec(3, 0)),
+            "must be unit vectors": ConstructionChoices(k=1, xi0=2 * basis_vec(3, 1), eta1=basis_vec(3, 0)),
+            "must have the algebra dimension": ConstructionChoices(k=1, xi0=basis_vec(4, 2), eta1=basis_vec(3, 0)),
+        }
+        for message, choices in cases.items():
+            with pytest.raises(ValueError, match=message):
+                build_b1(table, choices)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_choices_rejected(self, bad):
@@ -281,7 +283,8 @@ class TestBuildB:
 
     def test_one_rank_one_images_call_per_values_and_choices(self, rng, monkeypatch):
         # the six entry points share one _corner kernel, kept with the table's values, and each checks its choices;
-        # c1 reads table rows
+        # c1 reads table rows, so construct calls evaluate itself nowhere ("direct").  A kernel computed evaluates
+        # each of the n + 1 rank-one elements of its one rank_one_images call; a kept one evaluates none
         alg = NestAlgebra(7, (2, 5, 7))
         table = inner_from(alg, random_complex(rng, (7, 7)))
         choices, other = choices_for(alg, 2), choices_for(alg, 1)
@@ -296,9 +299,10 @@ class TestBuildB:
             return counted
 
         monkeypatch.setattr(construct, "rank_one_images", count("images", images))
-        monkeypatch.setattr(construct, "evaluate", count("evaluate", construct.evaluate))
+        monkeypatch.setattr(derivation, "evaluate", count("evaluate", derivation.evaluate))
+        monkeypatch.setattr(construct, "evaluate", count("direct", construct.evaluate))
         monkeypatch.setattr(ConstructionChoices, "validate", count("validate", validate))
-        calls.update(images=0, validate=0, evaluate=0)
+        calls.update(images=0, validate=0, evaluate=0, direct=0)
         art = build_b(table, choices)
         entries = {
             build_b1: (table, choices),
@@ -309,7 +313,7 @@ class TestBuildB:
         }
         for entry, args in entries.items():
             entry(*args)
-        assert calls == {"images": 1, "validate": 6, "evaluate": 0}
+        assert calls == {"images": 1, "validate": 6, "evaluate": 8, "direct": 0}
         entries[build_b] = (table, choices)
         for entry, args in entries.items():
             if entry is build_c1:
@@ -317,9 +321,12 @@ class TestBuildB:
             # a write, even of the value already there, drops the kernel; so does a call with other choices
             table.values[(0, 0)] = table.values[(0, 0)]
             for call in (lambda: entry(*args), lambda: build_b1(table, other), lambda: entry(*args)):
-                calls.update(images=0, validate=0, evaluate=0)
+                calls.update(images=0, validate=0, evaluate=0, direct=0)
                 call()
-                assert calls == {"images": 1, "validate": 1, "evaluate": 0}, entry.__name__
+                assert calls == {"images": 1, "validate": 1, "evaluate": 8, "direct": 0}, entry.__name__
+            calls.update(images=0, validate=0, evaluate=0, direct=0)
+            entry(*args)
+            assert calls == {"images": 0, "validate": 1, "evaluate": 0, "direct": 0}, entry.__name__
 
 
 def _bits(result):
@@ -460,7 +467,7 @@ class TestDefaultChoices:
         assert default_choices(alg2).k == 2
 
     def test_no_interior_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no interior invariant projection"):
             default_choices(NestAlgebra(3, (3,)))
 
     # a float equal to an interior index, or a string, is not an index either
@@ -645,8 +652,6 @@ class TestVerify:
 
     def test_one_commutator_array_per_call(self, rng, monkeypatch):
         # b2's pSp defects are b's, so verify forms the commutators of b alone
-        from nestderiv import construct, derivation
-
         calls = []
 
         def counted(alg, x, inner=derivation.unit_commutators):

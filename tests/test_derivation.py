@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -903,6 +904,22 @@ def test_image_sums_onto_positive_zeros():
     got = derivation._image(a[ui, uj], table.stacked())
     assert got.tobytes() == oracle_evaluate(table, a).tobytes()
     assert all(math.copysign(1.0, x) == 1.0 for x in got.view(float).ravel())
+
+
+def test_evaluate_gathers_no_copy_of_the_table(rng):
+    # a dense element's units form one run, read as slices of the table's 8.65 MB array, not gathered from it
+    alg = NestAlgebra.triangular(32)
+    table = inner_from(alg, random_complex(rng, (32, 32)))
+    a = np.triu(random_complex(rng, (32, 32)))
+    expected = evaluate(table, a)
+    tracemalloc.start()
+    try:
+        got = evaluate(table, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == expected.tobytes()
+    assert peak < 1 << 20
 
 
 def test_json_roundtrip(rng):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from nestderiv.linalg import (
     DimensionError,
+    _difference_scalar_part,
     _max_op_norm,
     adjoint,
     matrix_from_json,
@@ -132,6 +133,17 @@ class TestScalarIdentityPart:
         assert lams.tobytes() == np.array([lam for lam, _ in single]).tobytes()
         assert residuals.tobytes() == np.array([residual for _, residual in single]).tobytes()
         assert residuals[1:].tolist() == [0.0, math.inf]
+
+    def test_difference_past_the_float_range_is_taken_of_the_scaled_operands(self, rng):
+        # b - c holds 2e308; divided by 2^1023 it is diag(2.22.., 2^-1023, ..), whose scalar part multiplied back is
+        # lam = 5e307 with residual 1.5e308, both finite
+        b, c = np.diag([1e308, 1.0, 1.0, 1.0]), np.diag([-1e308, 0.0, 0.0, 0.0])
+        lam, residual = _difference_scalar_part(b, c)
+        assert lam == pytest.approx(5e307, rel=1e-15) and residual == pytest.approx(1.5e308, rel=1e-15)
+        # a finite difference is split as it is, to the bit, in the range and outside it
+        for scale in (1.0, 2.0**600, 2.0**-600):
+            b, c = scale * random_complex(rng, (5, 5)), scale * random_complex(rng, (5, 5))
+            assert repr(_difference_scalar_part(b, c)) == repr(scalar_identity_part(b - c))
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))

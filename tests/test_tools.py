@@ -25,10 +25,11 @@ def test_cli_fileset_writes_and_compares_the_smoke_set(tmp_path, capsys):
     for out in (a, b):
         assert cli_fileset.main([str(out), "--size", "smoke"]) == 0
     names = sorted(p.name for p in a.iterdir())
-    # two tables with their generators, eight construct/chain reports, the picked construct, b and two verify reports,
-    # T_4 times 2^600 with its generator and its construct and chain reports, and T_4 with a diagonal defect
-    # and its construct and chain reports
-    assert len(names) == 23 and {"t.json", "c.json", "b.json", "construct-t-pick.json", "verify-t-gen.json"} <= set(names)
+    # two tables with their generators, eight construct/chain reports, a picked construct on each table, b and two
+    # verify reports, T_4 times 2^600 with its generator and its construct and chain reports, and T_4 with a
+    # diagonal defect and its construct and chain reports
+    assert len(names) == 24 and {"t.json", "c.json", "b.json", "verify-t-gen.json"} <= set(names)
+    assert {"construct-t-pick.json", "construct-c-pick.json"} <= set(names)
     assert {"t-big.json", "t-big.json.generator.json", "construct-t-big.json", "chain-t-big.json"} <= set(names)
     assert {"t-diag.json", "construct-t-diag.json", "chain-t-diag.json"} <= set(names)
     assert all(json.loads((a / "construct-t-diag.json").read_text())["pass"].values())

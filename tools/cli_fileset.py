@@ -6,7 +6,8 @@
 The first form runs, in-process through ``nestderiv.cli.main``:
 ``generate`` on T_16 (seed 5) and on chain (3, 7, 12) (seed 9);
 ``construct`` and ``chain`` on both tables, with and without
-``--generator``; ``construct --k 8 --xi0-index 10 --eta1-index 2`` on T_16;
+``--generator``; ``construct --k 8 --xi0-index 10 --eta1-index 2`` on T_16
+and ``construct --k 1 --xi0-index 5 --eta1-index 2`` on the chain table;
 ``verify --b`` on T_16, with and without ``--generator``, where b is the
 operator of the T_16 ``construct --generator`` report; and ``construct
 --generator --gate-thm13`` and ``chain --generator`` on the T_16 table and
@@ -16,7 +17,9 @@ and ``chain --generator`` on ``t-diag.json``, the T_n table with one defect
 of half its ``validate`` tolerance added to every delta(E_ii), i < d, for p
 of rank d at the default k, which a c1 summed over delta(p) would add up d
 times, and which enters no chain member.  Every command must exit 0.
-``--size smoke`` runs the same commands on T_4 and chain (1, 3, 4).
+``--size smoke`` runs the same commands on T_4 and chain (1, 3, 4), with
+the choices ``--k 2 --xi0-index 3 --eta1-index 1`` on T_4 and ``--k 2
+--xi0-index 3 --eta1-index 2`` on the chain table.
 The package is imported from the ``src`` directory next to ``tools``, so a
 copy of this file placed in another checkout writes that checkout's set.
 
@@ -49,17 +52,16 @@ LISTED = 10
 # the factor of every entry of t-big.json and its generator
 BIG = 2.0**600
 
-# (T_n, its seed, chain table n, its chain, its seed, construct --k/--xi0-index/--eta1-index on T_n)
+# (T_n, its seed, chain table n, its chain, its seed, construct --k/--xi0-index/--eta1-index on T_n and on the chain)
 SIZES = {
-    "full": {"t": 16, "t_seed": 5, "c": 12, "chain": "3,7,12", "c_seed": 9, "pick": (8, 10, 2)},
-    "smoke": {"t": 4, "t_seed": 5, "c": 4, "chain": "1,3,4", "c_seed": 9, "pick": (2, 3, 1)},
+    "full": {"t": 16, "t_seed": 5, "c": 12, "chain": "3,7,12", "c_seed": 9, "pick": (8, 10, 2), "c_pick": (1, 5, 2)},
+    "smoke": {"t": 4, "t_seed": 5, "c": 4, "chain": "1,3,4", "c_seed": 9, "pick": (2, 3, 1), "c_pick": (2, 3, 2)},
 }
 
 
 def commands(size: str) -> list:
     """The CLI argument lists of the gate set, in run order; outputs are relative paths."""
     spec = SIZES[size]
-    k, xi0, eta1 = spec["pick"]
     runs = [
         ["generate", "--n", spec["t"], "--seed", spec["t_seed"], "--out", "t.json"],
         ["generate", "--n", spec["c"], "--chain", spec["chain"], "--seed", spec["c_seed"], "--out", "c.json"],
@@ -71,9 +73,12 @@ def commands(size: str) -> list:
                 [command, "--input", f"{table}.json", "--generator", f"{table}.json.generator.json",
                  "--out", f"{command}-{table}-gen.json"]
             )
-    runs.append(
-        ["construct", "--input", "t.json", "--k", k, "--xi0-index", xi0, "--eta1-index", eta1, "--out", "construct-t-pick.json"]
-    )
+    for table, pick in (("t", "pick"), ("c", "c_pick")):
+        k, xi0, eta1 = spec[pick]
+        runs.append(
+            ["construct", "--input", f"{table}.json", "--k", k, "--xi0-index", xi0, "--eta1-index", eta1,
+             "--out", f"construct-{table}-pick.json"]
+        )
     runs.append(["verify", "--input", "t.json", "--b", "b.json", "--out", "verify-t.json"])
     runs.append(
         ["verify", "--input", "t.json", "--b", "b.json", "--generator", "t.json.generator.json", "--out", "verify-t-gen.json"]
