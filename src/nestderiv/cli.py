@@ -8,8 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation failure (a table that fails the product
 rule, a failed theorem gate, or a chain whose worst normalized pair residual
-or stabilized implements_residual is above the tolerance), 2 config error,
-3 I/O error.
+or stabilized implements_residual is above table.scaled_tol), 2 config error
+(a table that cannot be read, or whose scaled_tol is not finite), 3 I/O error.
 All output is deterministic JSON, byte-identical for equal input files and
 flags: the text of json.dumps(obj, indent=2, sort_keys=True) and a newline,
 written by one streaming writer, in a file of mode 0o666 & ~umask.
@@ -200,23 +200,15 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _load_table(path: str) -> DerivationTable:
+def _load_validated(args) -> DerivationTable:
+    """The --input table under --tol: ConfigError if it cannot be read or validated, TableRejected if it fails."""
     try:
-        return DerivationTable.from_json(_read_json(path))
+        table = DerivationTable.from_json(_read_json(args.input))
+        if args.tol is not None:
+            table.tol = args.tol
+        report = validate(table)
     except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad derivation table {path}: {exc}") from exc
-
-
-def _load_validated(args) -> tuple[DerivationTable, float]:
-    """The --input table with --tol applied and its scaled tolerance, raising TableRejected unless it validates.
-
-    The scaled tolerance, table.tol * table.value_scale, is verify's default,
-    so it is passed on rather than computed again.
-    """
-    table = _load_table(args.input)
-    if args.tol is not None:
-        table.tol = args.tol
-    report = validate(table)
+        raise ConfigError(f"bad derivation table {args.input}: {exc}") from exc
     if not report.ok:
         u, v = report.worst_pair
         first = ", ".join(f"{u} x {v} ({r:.3e})" for u, v, r in report.failing_pairs[:3])
@@ -224,7 +216,7 @@ def _load_validated(args) -> tuple[DerivationTable, float]:
             f"max residual {report.max_residual:.3e} at {u} x {v} "
             f"over {len(report.failing_pairs)} pairs (tol {report.tol:.3e}); first failing: {first}"
         )
-    return table, report.tol
+    return table
 
 
 def _load_matrix(path: str, n: int, what: str) -> np.ndarray:
@@ -288,12 +280,12 @@ def _exit_code(what: str, failures: list) -> int:
     return EXIT_OK
 
 
-def _verify_and_write(args, table: DerivationTable, tol: float, artifacts: ConstructionArtifacts, extra: dict) -> int:
-    """Verify artifacts at tol, write the report plus extra to --out, and gate the exit code on the theorems."""
+def _verify_and_write(args, table: DerivationTable, artifacts: ConstructionArtifacts, extra: dict) -> int:
+    """Verify artifacts, write the report plus extra to --out, and gate the exit code on the theorems."""
     generator = None
     if args.generator:
         generator = _load_matrix(args.generator, table.alg.n, "generator")
-    verification = verify(table, artifacts, tol=tol, generator=generator)
+    verification = verify(table, artifacts, generator=generator)
     _write_json(args.out, {**verification.to_json(), **extra})
     print(f"wrote {args.out}")
     gated = ("thm11", "thm12", "thm13") if args.gate_thm13 else ("thm11", "thm12")
@@ -301,17 +293,17 @@ def _verify_and_write(args, table: DerivationTable, tol: float, artifacts: Const
 
 
 def cmd_construct(args) -> int:
-    table, tol = _load_validated(args)
+    table = _load_validated(args)
     try:
         choices = _choices_from_args(args, table.alg)
         artifacts = build_b(table, choices)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return _verify_and_write(args, table, tol, artifacts, {"artifacts": artifacts_to_json(artifacts)})
+    return _verify_and_write(args, table, artifacts, {"artifacts": artifacts_to_json(artifacts)})
 
 
 def cmd_verify(args) -> int:
-    table, tol = _load_validated(args)
+    table = _load_validated(args)
     try:
         choices = _choices_from_args(args, table.alg)
     except ValueError as exc:
@@ -320,11 +312,11 @@ def cmd_verify(args) -> int:
     zero = np.zeros_like(b)
     # supplied b stands in for every stage; components are not re-derived
     artifacts = ConstructionArtifacts(b1=b, c1=zero, b2=b, c2=zero, b=b, choices=choices)
-    return _verify_and_write(args, table, tol, artifacts, {})
+    return _verify_and_write(args, table, artifacts, {})
 
 
 def cmd_chain(args) -> int:
-    table, tol = _load_validated(args)
+    table = _load_validated(args)
     try:
         family = chain_family(table)
     except ValueError as exc:
@@ -351,6 +343,7 @@ def cmd_chain(args) -> int:
     _write_json(args.out, out)
     print(f"wrote {args.out}")
     # the report is written before the gate, as construct's is
+    tol = table.scaled_tol
     failures = []
     if normalized.lambdas:
         pair, (_, pair_residual) = max(normalized.lambdas.items(), key=lambda item: item[1][1])

@@ -277,7 +277,6 @@ def triple_rule_residual(table: DerivationTable, choices: ConstructionChoices) -
 def verify(
     table: DerivationTable,
     artifacts: ConstructionArtifacts,
-    tol: float | None = None,
     generator=None,
     norms: NormEstimate | None = None,
 ) -> VerificationReport:
@@ -289,8 +288,8 @@ def verify(
     (when the inner generator is known) the gauge scalar by which b differs
     from it.  b2 is not measured apart: c2 = b - b2 has no entry in p's rows
     or columns, so [b, E_u] = [b2, E_u] for every pSp unit u, and b2 enters
-    only through its norm.  The pass flags compare against tol, by default the
-    table tolerance scaled like validate's: table.tol * table.value_scale.
+    only through its norm.  The pass flags compare against table.scaled_tol,
+    validate's tolerance, which raises ValueError when it is not finite.
     Each residual is a maximum from _max_op_norm, which takes SVDs only of the
     units that can reach it, and worst_units names the first unit in basis
     order that reaches it; for rule_max, the first in triple_rule_residual's
@@ -303,11 +302,10 @@ def verify(
     table's values and choices and then kept (see _corner), as value_scale is.
     """
     alg = table.alg
+    tol = table.scaled_tol
     corner = _corner(table, artifacts.choices)
     if generator is not None:
         generator = _as_operator(alg, generator, "generator")
-    if tol is None:
-        tol = table.tol * table.value_scale
 
     rule_max, rule_unit = corner["rule"]
     d = corner["d"]

@@ -9,7 +9,7 @@ extrapolation.
 import math
 import operator
 from collections.abc import MutableMapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -157,16 +157,24 @@ class DerivationTable:
     def value_scale(self) -> float:
         """The largest operator norm over the table values, the residual scale.
 
-        Every tolerance is table.tol times this, so it scales with the table
-        at any size, and a zero table gets tolerance 0.  The maximum comes from
-        _max_op_norm, which norms only the values whose Frobenius norm can
-        reach it, and is the one over all values, to the bit.  It is computed
-        once and kept with the values until one of them is written.
+        scaled_tol is table.tol times this, so every tolerance scales with the
+        table at any size, and a zero table gets tolerance 0.  The maximum
+        comes from _max_op_norm, which norms only the values whose Frobenius
+        norm can reach it, and is the one over all values, to the bit.  It is
+        computed once and kept with the values until one of them is written.
         """
         derived = self.values._derived
         if "value_scale" not in derived:
             derived["value_scale"] = _max_op_norm(self.stacked())[0]
         return derived["value_scale"]
+
+    @property
+    def scaled_tol(self) -> float:
+        """tol * value_scale, every residual's tolerance; ValueError when it is not finite, as then none could fail."""
+        scaled_tol = self.tol * self.value_scale
+        if not math.isfinite(scaled_tol):
+            raise ValueError(f"tol * value_scale = {self.tol!r} * {self.value_scale!r} is not finite")
+        return scaled_tol
 
     def to_json(self) -> dict:
         entries = [
@@ -220,9 +228,9 @@ class ValidationReport:
     """Product-rule residuals: failing (u, v, residual) triples and the worst pair (u, v)."""
 
     max_residual: float
-    failing_pairs: list = field(default_factory=list)
-    tol: float = 1e-9
-    worst_pair: tuple | None = None
+    failing_pairs: list
+    tol: float
+    worst_pair: tuple
 
     @property
     def ok(self) -> bool:
@@ -312,7 +320,7 @@ def validate(table: DerivationTable) -> ValidationReport:
     units = alg.basis_units()
     ui, uj = alg.unit_index()
     values = table.stacked()
-    scaled_tol = table.tol * table.value_scale
+    scaled_tol = table.scaled_tol
     rows = np.arange(len(units))
     coords = np.arange(n)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nestderiv.algebra import MatrixUnit, NestAlgebra, _commutant_blocks, _commutant_nullity, check_structure
-from nestderiv.linalg import op_norm
+from nestderiv.linalg import DimensionError, op_norm
 
 from conftest import algebras, random_complex, unit
 from oracles import oracle_check_structure, oracle_commutant_gram, oracle_commutant_nullity, oracle_commutant_system
@@ -82,6 +82,8 @@ class TestNestAlgebra:
         assert not alg.contains(bad)
         assert alg.contains(unit(3, 0, 2))
         assert alg.contains(unit(3, 1, 0))  # inside the leading 2x2 block
+        with pytest.raises(DimensionError):
+            alg.contains(np.zeros((2, 2)))
 
     def test_lattice_projection(self):
         t3 = NestAlgebra.triangular(3)
@@ -89,8 +91,12 @@ class TestNestAlgebra:
         alg = NestAlgebra(3, (2, 3))
         assert np.array_equal(alg.lattice_projection(1), np.diag([1, 1, 0]).astype(complex))
         assert np.array_equal(alg.lattice_projection(2), np.eye(3))
-        with pytest.raises(IndexError):
-            alg.lattice_projection(3)
+        for k in (0, 3):
+            with pytest.raises(IndexError):
+                alg.lattice_projection(k)
+        for r in (-1, 3):
+            with pytest.raises(IndexError):
+                alg.block_of(r)
 
     def test_basis_units_t2(self):
         assert NestAlgebra.triangular(2).basis_units() == [

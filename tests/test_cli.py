@@ -28,12 +28,14 @@ def read(path):
         return json.load(handle)
 
 
-def test_generate_produces_valid_table(tmp_path):
+def test_generate_produces_valid_table(tmp_path, capsys):
     out = tmp_path / "table.json"
     assert main(["generate", "--n", "2", "--seed", "7", "--out", str(out)]) == EXIT_OK
     table = DerivationTable.from_json(read(out))
     assert len(table.values) == 3
-    assert validate(table).max_residual < 1e-12 * table.value_scale
+    residual = validate(table).max_residual
+    assert residual < 1e-12 * table.value_scale
+    assert capsys.readouterr().out == f"wrote {out} (validation residual {residual:.3e})\nwrote {out}.generator.json\n"
     generator = matrix_from_json(read(str(out) + ".generator.json"))
     assert generator.shape == (2, 2)
 
@@ -192,7 +194,14 @@ def test_value_scale_computed_once_per_call(tmp_path, monkeypatch, command):
     b_path.write_text(json.dumps(read(report_path)["artifacts"]["b"]))
     calls = []
     scale = DerivationTable.value_scale.fget
-    monkeypatch.setattr(DerivationTable, "value_scale", property(lambda table: calls.append(1) or scale(table)))
+
+    def counted(table):
+        # a read that finds the maximum kept with the values computes nothing, so only the others are counted
+        if "value_scale" not in table.values._derived:
+            calls.append(1)
+        return scale(table)
+
+    monkeypatch.setattr(DerivationTable, "value_scale", property(counted))
     args = [command, "--input", str(table_path), "--generator", str(table_path) + ".generator.json"]
     if command == "verify":
         args += ["--b", str(b_path)]
@@ -422,6 +431,34 @@ def test_a_generator_whose_trace_overflows_gets_an_infinite_gauge_residual(tmp_p
     assert gauge == {"lambda": [-1e308, 1e308], "residual": math.inf}
 
 
+@pytest.mark.parametrize("command", ["construct", "verify", "chain"])
+def test_a_table_whose_value_norms_pass_the_float_range_is_a_config_error(tmp_path, command):
+    # value_scale is inf, so tol * value_scale could fail no residual; checked before any overflow or SVD
+    alg = NestAlgebra.triangular(4)
+    units = alg.basis_units()
+    values = np.random.default_rng(0).uniform(-1, 1, (len(units), 4, 4)) * 1.7e308
+    table_path, b_path, out = tmp_path / "table.json", tmp_path / "b.json", tmp_path / "o.json"
+    table_path.write_text(json.dumps(DerivationTable(alg, dict(zip(units, values))).to_json()))
+    b_path.write_text(json.dumps(matrix_to_json(np.zeros((4, 4)))))
+    argv = [command, "--input", str(table_path), "--out", str(out)] + (["--b", str(b_path)] if command == "verify" else [])
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stdout) == (EXIT_CONFIG, "")
+    [line] = proc.stderr.splitlines()
+    assert line == f"config error: bad derivation table {table_path}: tol * value_scale = 1e-09 * inf is not finite"
+    assert not out.exists()
+
+
+def test_a_tol_flag_that_overflows_the_scaled_tolerance_is_a_config_error(tmp_path, capsys):
+    table_path, out = tmp_path / "table.json", tmp_path / "o.json"
+    main(["generate", "--n", "4", "--seed", "1", "--out", str(table_path)])
+    capsys.readouterr()
+    assert main(["construct", "--input", str(table_path), "--tol", "1e308", "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: bad derivation table {table_path}: tol * value_scale = 1e+308 * ")
+    assert err.endswith(" is not finite\n") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("gate_thm13", [False, True])
 def test_failed_theorem_gate_names_residual_tolerance_and_unit(tmp_path, capsys, gate_thm13):
     table_path, b_path, out = tmp_path / "table.json", tmp_path / "b.json", tmp_path / "v.json"
@@ -635,6 +672,7 @@ MALFORMED_TABLES = {
     "fractional_n": lambda obj: obj["algebra"].update(n=3.5),
     "fractional_chain": lambda obj: obj["algebra"].update(chain=[1, 2.9, 3]),
     "infinite_n": lambda obj: obj["algebra"].update(n=float("inf")),
+    "chain_empty": lambda obj: obj["algebra"].update(chain=[]),
     # JSON's true is not the number 1, nor "1e-9" the number 1e-9
     "boolean_tol": lambda obj: obj.update(tol=True),
     "string_tol": lambda obj: obj.update(tol="1e-9"),

@@ -771,8 +771,12 @@ class TestVerify:
         assert verify(table, art).thm13_ok
         table.tol = 1e-20
         report = verify(table, art)
-        assert report.tol == table.tol * table.value_scale
+        assert report.tol == table.scaled_tol == table.tol * table.value_scale
         assert not report.thm13_ok
+        # a tolerance that overflows would pass every residual
+        table.tol = 1e308
+        with pytest.raises(ValueError, match="not finite"):
+            verify(table, art)
 
     def test_b2_implements_on_p_itself(self, rng):
         alg = NestAlgebra.triangular(4)

@@ -266,6 +266,18 @@ class TestValidate:
         assert report.ok
         assert report.max_residual < 1e-12 * table.value_scale
 
+    @pytest.mark.parametrize("tol, size", [(1e-9, 1.7e308), (1e300, 1e10)])
+    def test_a_scaled_tolerance_past_the_float_range_is_refused(self, tol, size):
+        # value norms past the float range, or a tol that overflows the product: tol * value_scale = inf passes all
+        alg = NestAlgebra.triangular(4)
+        units = alg.basis_units()
+        values = np.random.default_rng(0).uniform(-1, 1, (len(units), 4, 4)) * size
+        table = DerivationTable(alg, dict(zip(units, values)), tol=tol)
+        with pytest.raises(ValueError, match="not finite"):
+            table.scaled_tol
+        with pytest.raises(ValueError, match="not finite"):
+            validate(table)
+
     def test_perturbed_table_invalid(self, rng):
         alg = NestAlgebra.triangular(2)
         table = inner_from(alg, random_complex(rng, (2, 2)))
@@ -842,6 +854,15 @@ class TestStampfliCertificate:
             calls.clear()
             distance_to_scalars(random_complex(rng, (n, n)))
             assert len(calls) <= 12, (n, len(calls))
+
+    def test_a_halved_step_certifies_within_the_svd_cap(self, monkeypatch):
+        # the first full Newton step on this c does not decrease f, so it is halved; the iteration then certifies in
+        # 5 SVDs, and under a cap of 2 it falls back
+        rng = np.random.default_rng(3)
+        c = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        assert derivation._newton_min(c, np.eye(3)) is not None
+        monkeypatch.setattr(derivation, "_NEWTON_SVDS", 2)
+        assert derivation._newton_min(c, np.eye(3)) is None
 
     def test_normal_c_falls_back_to_ellipsoid(self, rng, monkeypatch):
         ellipsoid = derivation._ellipsoid_min

@@ -46,6 +46,11 @@ class TestRankOne:
         with pytest.raises(DimensionError):
             rank_one(np.ones(2), np.ones(3))
 
+    @pytest.mark.parametrize("xi, eta", [(np.ones((2, 2)), np.ones(2)), (np.ones(2), np.ones((2, 2)))], ids=["xi", "eta"])
+    def test_a_2d_argument_is_not_a_vector(self, xi, eta):
+        with pytest.raises(DimensionError, match="expected a 1-d vector"):
+            rank_one(xi, eta)
+
     def test_composition_rule(self, rng):
         # (eta (x) xi2)(xi1 (x) eta) = xi1 (x) xi2 for unit eta
         for _ in range(20):
@@ -64,6 +69,9 @@ class TestRankOne:
 
 
 class TestOpNorm:
+    def test_empty_matrix(self):
+        assert op_norm(np.zeros((0, 3))) == 0.0
+
     def test_single_unit_entry(self):
         m = np.zeros((2, 2), dtype=complex)
         m[1, 0] = 1.0
@@ -158,6 +166,21 @@ def test_json_roundtrip(rng):
     obj = matrix_to_json(a)
     assert json.loads(json.dumps(obj)) == obj
     assert np.array_equal(matrix_from_json(obj), a)
+
+
+@pytest.mark.parametrize(
+    "data, error, message",
+    [
+        ("x" * 4, TypeError, r"matrix data must be a list of \[re, im\] pairs, got str"),
+        ([[1.0, 0.0]] * 3, DimensionError, "expected 4 entries, got 3"),
+        ([1.0] * 4, TypeError, r"matrix entries must be pairs of numbers, got entries of type \['float'\]"),
+        ([[1.0]] * 4, ValueError, r"matrix entries must be pairs of numbers, got lists of length \[1\]"),
+    ],
+    ids=["data_not_a_list", "wrong_count", "entries_not_lists", "short_pairs"],
+)
+def test_json_names_what_is_wrong_with_the_data(data, error, message):
+    with pytest.raises(error, match=message):
+        matrix_from_json({"rows": 2, "cols": 2, "data": data})
 
 
 def test_json_rejects_nonfinite():
